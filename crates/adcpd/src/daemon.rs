@@ -851,12 +851,10 @@ impl Daemon {
     }
 
     /// Forensics ≡ registry: every drop the tracer recorded must appear
-    /// in exactly one mirrored registry counter with the same count, for
+    /// in exactly one exported registry counter with the same count, for
     /// every reason the architecture can produce — and reasons without a
-    /// mirror (`migration_fence`) must be absent on both sides.
-    fn drift_check(&mut self) -> Vec<String> {
-        // Force a metrics sync so the registry mirrors the live counters.
-        let _ = self.sw.metrics_json();
+    /// counter (`migration_fence`) must be absent on both sides.
+    fn drift_check(&self) -> Vec<String> {
         let totals = self.sw.tracer.drop_totals_by_reason();
         let m = self.sw.metrics();
         let mut bad = Vec::new();

@@ -4,7 +4,7 @@
 //! pulls on worker threads (`AdcpConfig::central_workers`). The contract
 //! is that this is *purely* a wall-clock optimization: every observable
 //! output — delivered counts, register-derived correctness oracles,
-//! latency summaries, the full per-stage metrics mirror — must be
+//! latency summaries, the full per-stage metrics export — must be
 //! byte-identical for any worker count, per seed. These tests serialize
 //! the complete `AppReport` to JSON and compare the bytes across worker
 //! counts 1, 2, and 4 for the three central-state-heavy apps.
@@ -148,7 +148,7 @@ fn ddos_identical_across_worker_counts() {
 }
 
 /// The fabric extension of the same contract: six switches, each its own
-/// event loop with sharded central pulls, lockstep-coupled by links. The
+/// event loop with sharded central pulls, coupled by links. The
 /// complete serialized `FabricReport` — per-device counters, per-link
 /// stats, and digests over every delivered frame and every central
 /// register cell fabric-wide — must be byte-identical for any worker

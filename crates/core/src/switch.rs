@@ -33,7 +33,7 @@ use adcp_sim::event::EventQueue;
 use adcp_sim::int::{
     IntFlowCell, IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP,
 };
-use adcp_sim::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, SeriesId};
+use adcp_sim::metrics::{CounterId, Fold, GaugeId, HistId, MetricsRegistry, MetricsView, SeriesId};
 use adcp_sim::packet::{EgressSpec, FrameBuf, Packet, PacketStore, PortId};
 use adcp_sim::port::{RxPort, TxPort};
 use adcp_sim::queue::BufferPool;
@@ -103,8 +103,8 @@ struct MetricHandles {
     int_path_changes: CounterId,
     int_flows: GaugeId,
     /// Per-region pipeline occupancy (total busy cycles, busiest pipe),
-    /// in ingress/central/egress order. Pre-registered so the end-of-run
-    /// mirror is handle writes, not name lookups.
+    /// in ingress/central/egress order, folded in when the registry is
+    /// read.
     busy: [(CounterId, GaugeId); 3],
 }
 
@@ -363,6 +363,16 @@ pub struct Delivered {
     pub meta: adcp_sim::packet::PacketMeta,
 }
 
+impl Delivered {
+    /// When the egress pipeline handed the frame to its TX port: the
+    /// simulated time of the event that delivered it (`time` adds TX
+    /// queueing and serialization). The metadata's rolling stage-entry
+    /// mark holds it once the frame has entered TX.
+    pub fn egress_exit(&self) -> SimTime {
+        self.meta.tm_enqueued
+    }
+}
+
 struct IngressPipe {
     next_slot: SimTime,
     busy_cycles: u64,
@@ -454,31 +464,34 @@ fn central_compute(
     })
 }
 
+/// A scheduled event. Pipe indices are `u32` so that the tag and index
+/// share one word ahead of the packet: the event queue moves and sorts
+/// every event by value, so its size is on the hot path.
 enum Ev {
     Inject {
         port: u16,
         pkt: Packet,
     },
     IngressEnter {
-        pipe: usize,
+        pipe: u32,
         pkt: Packet,
     },
     IngressOut {
-        pipe: usize,
+        pipe: u32,
         pkt: Packet,
     },
     PullCentral {
-        cpipe: usize,
+        cpipe: u32,
     },
     CentralOut {
-        cpipe: usize,
+        cpipe: u32,
         pkt: Packet,
     },
     PullEgress {
-        epipe: usize,
+        epipe: u32,
     },
     EgressOut {
-        epipe: usize,
+        epipe: u32,
         pkt: Packet,
     },
     /// Drain-strategy commit point: the in-flight fence has drained and the
@@ -487,7 +500,7 @@ enum Ev {
     MigrateCommit,
 }
 
-/// Control-plane migration totals, mirrored into the `ctrl` metrics scope.
+/// Control-plane migration totals, exported in the `ctrl` metrics scope.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationStats {
     /// Completed migrations.
@@ -627,7 +640,7 @@ pub struct AdcpSwitch {
     /// Partition-map routing + migration machinery; `None` keeps the
     /// legacy modulo routing (and zero per-packet overhead).
     part: Option<PartitionRuntime>,
-    /// Migration totals, mirrored into the `ctrl` metrics scope.
+    /// Migration totals, exported in the `ctrl` metrics scope.
     mig_stats: MigrationStats,
     /// Registers referenced by central-region tables with their cell
     /// counts — the state a migration moves.
@@ -857,6 +870,10 @@ impl AdcpSwitch {
         if self.in_flight != 0 {
             return Err(MigrateError::NotIdle);
         }
+        // The epoch restarts at 0: record the outgoing one so the `ctrl`
+        // epoch gauge's high-water mark survives the reset.
+        self.metrics
+            .set_gauge(self.mh.ctrl_epoch, self.partition_epoch());
         map.epoch = 0;
         let b = map.num_buckets() as usize;
         self.part = Some(PartitionRuntime {
@@ -924,7 +941,7 @@ impl AdcpSwitch {
         }
     }
 
-    /// Migration totals (also mirrored into the `ctrl` metrics scope).
+    /// Migration totals (also exported in the `ctrl` metrics scope).
     pub fn migration_stats(&self) -> &MigrationStats {
         &self.mig_stats
     }
@@ -1081,10 +1098,6 @@ impl AdcpSwitch {
                 moved_keys: moves.len() as u64,
             },
         );
-        // Finalize is a control-plane call outside the event loop, so the
-        // run loop's end-of-run sync has already happened: re-mirror here
-        // or the ctrl scope would under-report the completed migration.
-        self.sync_metrics();
         Ok(())
     }
 
@@ -1117,14 +1130,25 @@ impl AdcpSwitch {
     // ---------------- data plane ----------------
 
     /// Offer a packet to an RX port at `t`.
-    pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
+    pub fn inject(&mut self, port: PortId, pkt: Packet, t: SimTime) {
+        self.inject_sent(port, pkt, t, self.events.now());
+    }
+
+    /// Offer a frame that reaches an RX port at `t` over a link whose far
+    /// end handed it to TX at simulated time `sent`. Among events at `t`
+    /// the frame fires as if it had been scheduled at `sent` (see
+    /// [`EventQueue::push_issued`]), so a fabric that exchanges link
+    /// traffic once per lookahead window, after this switch has already
+    /// run past `sent`, keeps the order of a per-timestamp exchange.
+    pub fn inject_sent(&mut self, port: PortId, mut pkt: Packet, t: SimTime, sent: SimTime) {
         assert!((port.0 as usize) < self.rx.len());
         if pkt.meta.created == SimTime::ZERO {
             pkt.meta.created = t;
         }
         self.counters.injected += 1;
         self.in_flight += 1;
-        self.events.push(t, Ev::Inject { port: port.0, pkt });
+        self.events
+            .push_issued(t, sent, Ev::Inject { port: port.0, pkt });
     }
 
     /// Run until no events remain; returns quiescence time — the later of
@@ -1148,7 +1172,6 @@ impl AdcpSwitch {
         }
         self.batch = batch;
         self.refresh_mat_counters();
-        self.sync_metrics();
         last.max(self.last_delivery)
     }
 
@@ -1169,7 +1192,6 @@ impl AdcpSwitch {
         }
         self.batch = batch;
         self.refresh_mat_counters();
-        self.sync_metrics();
         last
     }
 
@@ -1202,92 +1224,61 @@ impl AdcpSwitch {
         self.flush_central_run(t, run);
     }
 
-    /// Mirror the ad-hoc [`AdcpCounters`] and per-pipe busy cycles into the
-    /// metrics registry, so the JSON export is the one complete metrics
-    /// path. Values are monotone totals; re-assigning is idempotent.
-    fn sync_metrics(&mut self) {
-        let c = self.counters.clone();
-        let mh = self.mh;
-        let m = &mut self.metrics;
-        m.set_counter(mh.rx_pkts, c.injected);
-        m.set_counter(mh.mac_fcs_drops, c.fcs_drops);
-        m.set_counter(mh.parse_errors, c.parse_errors);
-        m.set_counter(mh.tm1_drops, c.tm1_drops);
-        m.set_counter(mh.tm1_queue_drops, c.tm1_queue_drops);
-        m.set_counter(mh.tm2_drops, c.tm2_drops);
-        m.set_counter(mh.tm2_queue_drops, c.tm2_queue_drops);
-        m.set_counter(mh.tm2_mcast_copies, c.mcast_copies);
-        m.set_counter(mh.deparse_allocs, c.deparse_allocs);
-        m.set_counter(mh.mat_lookups, c.mat_lookups);
-        m.set_counter(mh.mat_hits, c.mat_hits);
-        m.set_counter(mh.drops_filtered, c.filtered);
-        m.set_counter(mh.drops_no_decision, c.no_decision);
-        m.set_counter(mh.drops_bad_port, c.bad_port);
-        m.set_counter(mh.tx_pkts, c.delivered);
-        m.set_gauge(mh.tm1_buffer_gauge, self.pool1.used());
-        m.set_gauge(mh.tm2_buffer_gauge, self.pool2.used());
+    /// Export the per-stage metrics block: [`AdcpSwitch::metrics`] as JSON
+    /// (see [`MetricsView::to_json`]).
+    pub fn metrics_json(&self) -> serde::Value {
+        self.metrics().to_json()
+    }
+
+    /// The per-stage metrics registry with this switch's own counts folded
+    /// in at read time: [`AdcpCounters`], migration totals, INT totals and
+    /// per-pipe busy cycles are the single source of truth, so nothing is
+    /// copied into the registry while the switch runs and the view is
+    /// complete whenever it is taken.
+    pub fn metrics(&self) -> MetricsView<'_> {
+        let c = &self.counters;
+        let mh = &self.mh;
         let mig = &self.mig_stats;
-        m.set_counter(mh.ctrl_migrations, mig.migrations);
-        m.set_counter(mh.ctrl_moved_keys, mig.moved_keys);
-        m.set_counter(mh.ctrl_paused_ns, mig.paused_ns);
-        m.set_counter(mh.ctrl_redirected_pkts, mig.redirected_pkts);
-        m.set_counter(mh.ctrl_held_pkts, mig.held_pkts);
-        m.set_counter(mh.ctrl_misroutes, mig.misroutes);
-        let epoch = self.part.as_ref().map_or(0, |rt| rt.map.epoch);
-        m.set_gauge(mh.ctrl_epoch, epoch);
-        m.set_counter(mh.int_stamps, self.int_stamps);
-        m.set_counter(mh.int_postcards, self.int_postcards);
-        m.set_counter(mh.int_truncated, self.int_truncated);
-        m.set_counter(mh.int_postcards_dropped, self.int_postcards_dropped);
-        m.set_counter(mh.int_path_changes, self.int_flows.total_path_changes());
-        m.set_gauge(mh.int_flows, self.int_flows.active_cells());
-        // Pipeline occupancy, aggregated (per-pipe cardinality would bloat
-        // every report on 64-port targets): total busy cycles plus the
-        // busiest pipe, per region, via the pre-registered handles.
-        let stages: [(usize, u64, u64); 3] = [
-            (
-                0,
-                self.ingress.iter().map(|p| p.busy_cycles).sum(),
-                self.ingress
-                    .iter()
-                    .map(|p| p.busy_cycles)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            (
-                1,
-                self.central.iter().map(|p| p.busy_cycles).sum(),
-                self.central
-                    .iter()
-                    .map(|p| p.busy_cycles)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            (
-                2,
-                self.egress.iter().map(|p| p.busy_cycles).sum(),
-                self.egress.iter().map(|p| p.busy_cycles).max().unwrap_or(0),
-            ),
+        let (lookups, hits) = self.mat_totals();
+        let folds = [
+            Fold::Counter(mh.rx_pkts, c.injected),
+            Fold::Counter(mh.mac_fcs_drops, c.fcs_drops),
+            Fold::Counter(mh.parse_errors, c.parse_errors),
+            Fold::Counter(mh.tm1_drops, c.tm1_drops),
+            Fold::Counter(mh.tm1_queue_drops, c.tm1_queue_drops),
+            Fold::Counter(mh.tm2_drops, c.tm2_drops),
+            Fold::Counter(mh.tm2_queue_drops, c.tm2_queue_drops),
+            Fold::Counter(mh.tm2_mcast_copies, c.mcast_copies),
+            Fold::Counter(mh.deparse_allocs, c.deparse_allocs),
+            Fold::Counter(mh.mat_lookups, lookups),
+            Fold::Counter(mh.mat_hits, hits),
+            Fold::Counter(mh.drops_filtered, c.filtered),
+            Fold::Counter(mh.drops_no_decision, c.no_decision),
+            Fold::Counter(mh.drops_bad_port, c.bad_port),
+            Fold::Counter(mh.tx_pkts, c.delivered),
+            Fold::Gauge(mh.tm1_buffer_gauge, self.pool1.used()),
+            Fold::Gauge(mh.tm2_buffer_gauge, self.pool2.used()),
+            Fold::Counter(mh.ctrl_migrations, mig.migrations),
+            Fold::Counter(mh.ctrl_moved_keys, mig.moved_keys),
+            Fold::Counter(mh.ctrl_paused_ns, mig.paused_ns),
+            Fold::Counter(mh.ctrl_redirected_pkts, mig.redirected_pkts),
+            Fold::Counter(mh.ctrl_held_pkts, mig.held_pkts),
+            Fold::Counter(mh.ctrl_misroutes, mig.misroutes),
+            Fold::Gauge(mh.ctrl_epoch, self.partition_epoch()),
+            Fold::Counter(mh.int_stamps, self.int_stamps),
+            Fold::Counter(mh.int_postcards, self.int_postcards),
+            Fold::Counter(mh.int_truncated, self.int_truncated),
+            Fold::Counter(mh.int_postcards_dropped, self.int_postcards_dropped),
+            Fold::Counter(mh.int_path_changes, self.int_flows.total_path_changes()),
+            Fold::Gauge(mh.int_flows, self.int_flows.active_cells()),
         ];
-        for (region, total, max) in stages {
-            let (id, g) = mh.busy[region];
-            self.metrics.set_counter(id, total);
-            self.metrics.set_gauge(g, max);
-        }
-    }
-
-    /// Export the per-stage metrics block (see
-    /// [`MetricsRegistry::to_json`]), synchronizing mirrored counters
-    /// first so the snapshot is complete at any point.
-    pub fn metrics_json(&mut self) -> serde::Value {
-        self.refresh_mat_counters();
-        self.sync_metrics();
-        self.metrics.to_json()
-    }
-
-    /// Shared access to the per-stage metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        let busy = [
+            Fold::busy(mh.busy[0], self.ingress.iter().map(|p| p.busy_cycles)),
+            Fold::busy(mh.busy[1], self.central.iter().map(|p| p.busy_cycles)),
+            Fold::busy(mh.busy[2], self.egress.iter().map(|p| p.busy_cycles)),
+        ];
+        self.metrics
+            .fold(folds.into_iter().chain(busy.into_iter().flatten()))
     }
 
     /// Export the journey tracer's state (sampled hops, drop forensics,
@@ -1384,23 +1375,22 @@ impl AdcpSwitch {
         }
     }
 
-    /// Copy the per-table lookup/hit totals into [`AdcpCounters`] so a
-    /// counters snapshot taken at quiescence is complete. Totals are
-    /// monotone, so re-assigning on every call is idempotent.
-    fn refresh_mat_counters(&mut self) {
-        let stats = self
-            .ingress
+    /// Match-table (lookups, hits) summed over every pipe's tables — the
+    /// per-table stats are the source of truth for both totals.
+    fn mat_totals(&self) -> (u64, u64) {
+        self.ingress
             .iter()
             .map(|p| &p.state.stats)
             .chain(self.central.iter().map(|p| &p.state.stats))
-            .chain(self.egress.iter().map(|p| &p.state.stats));
-        let (mut lookups, mut hits) = (0, 0);
-        for s in stats {
-            lookups += s.lookups;
-            hits += s.hits;
-        }
-        self.counters.mat_lookups = lookups;
-        self.counters.mat_hits = hits;
+            .chain(self.egress.iter().map(|p| &p.state.stats))
+            .fold((0, 0), |(l, h), s| (l + s.lookups, h + s.hits))
+    }
+
+    /// Copy the per-table lookup/hit totals into [`AdcpCounters`] so a
+    /// counters snapshot taken after any run is complete. Totals are
+    /// monotone, so re-assigning on every call is idempotent.
+    fn refresh_mat_counters(&mut self) {
+        (self.counters.mat_lookups, self.counters.mat_hits) = self.mat_totals();
     }
 
     /// Drain delivered packets.
@@ -1408,9 +1398,16 @@ impl AdcpSwitch {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Time of the switch's next pending event, if any. A fabric driving
-    /// loop advances every member switch to the global minimum of these
-    /// before exchanging link traffic (see the `adcp-fabric` crate).
+    /// Drain delivered packets in delivery order without handing over the
+    /// buffer: the switch keeps its capacity, so a caller that drains after
+    /// every run (a fabric's link exchange) allocates nothing here.
+    pub fn drain_delivered(&mut self) -> std::vec::Drain<'_, Delivered> {
+        self.delivered.drain(..)
+    }
+
+    /// Time of the switch's next pending event, if any. A fabric's driving
+    /// loop derives each lookahead window from the minimum of these over
+    /// its member switches (see the `adcp-fabric` crate).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
@@ -1459,12 +1456,12 @@ impl AdcpSwitch {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
-            Ev::IngressEnter { pipe, pkt } => self.on_ingress_enter(now, pipe, pkt),
-            Ev::IngressOut { pipe, pkt } => self.on_ingress_out(now, pipe, pkt),
-            Ev::PullCentral { cpipe } => self.on_pull_central(now, cpipe),
-            Ev::CentralOut { cpipe, pkt } => self.on_central_out(now, cpipe, pkt),
-            Ev::PullEgress { epipe } => self.on_pull_egress(now, epipe),
-            Ev::EgressOut { epipe, pkt } => self.on_egress_out(now, epipe, pkt),
+            Ev::IngressEnter { pipe, pkt } => self.on_ingress_enter(now, pipe as usize, pkt),
+            Ev::IngressOut { pipe, pkt } => self.on_ingress_out(now, pipe as usize, pkt),
+            Ev::PullCentral { cpipe } => self.on_pull_central(now, cpipe as usize),
+            Ev::CentralOut { cpipe, pkt } => self.on_central_out(now, cpipe as usize, pkt),
+            Ev::PullEgress { epipe } => self.on_pull_egress(now, epipe as usize),
+            Ev::EgressOut { epipe, pkt } => self.on_egress_out(now, epipe as usize, pkt),
             Ev::MigrateCommit => self.on_migrate_commit(now),
         }
     }
@@ -1500,7 +1497,13 @@ impl AdcpSwitch {
             DemuxPolicy::FlowHash => (adcp_lang::fold_hash([pkt.meta.flow.0]) % m as u64) as usize,
         };
         let pipe = port as usize * m + lane;
-        self.events.push(done, Ev::IngressEnter { pipe, pkt });
+        self.events.push(
+            done,
+            Ev::IngressEnter {
+                pipe: pipe as u32,
+                pkt,
+            },
+        );
     }
 
     /// Parse, run ingress region, occupy a slot, deparse.
@@ -1532,7 +1535,13 @@ impl AdcpSwitch {
             );
         }
         self.int_stamp(&mut pkt, Site::IngressPipe(pipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::IngressOut { pipe, pkt });
+        self.events.push(
+            exit,
+            Ev::IngressOut {
+                pipe: pipe as u32,
+                pkt,
+            },
+        );
     }
 
     /// TM1: application-defined partitioning into central pipelines.
@@ -1838,7 +1847,12 @@ impl AdcpSwitch {
         if !self.central[cpipe].pull_scheduled {
             self.central[cpipe].pull_scheduled = true;
             let at = now.max(self.central[cpipe].next_slot);
-            self.events.push(at, Ev::PullCentral { cpipe });
+            self.events.push(
+                at,
+                Ev::PullCentral {
+                    cpipe: cpipe as u32,
+                },
+            );
         }
     }
 
@@ -1973,7 +1987,13 @@ impl AdcpSwitch {
                 .record_hop(pkt.meta.id, Site::CentralPipe(cpipe), run.entry, exit, ctx);
         }
         self.int_stamp(&mut pkt, Site::CentralPipe(cpipe), run.entry, exit, ctx);
-        self.events.push(exit, Ev::CentralOut { cpipe, pkt });
+        self.events.push(
+            exit,
+            Ev::CentralOut {
+                cpipe: cpipe as u32,
+                pkt,
+            },
+        );
         if !self.central[cpipe].queues.is_empty() {
             let next = self.central[cpipe].next_slot;
             self.schedule_pull_central(next, cpipe);
@@ -2000,6 +2020,7 @@ impl AdcpSwitch {
         let mut staged: Vec<Option<(usize, CentralStage)>> = run.iter().map(|_| None).collect();
         for (i, ev) in run.iter().enumerate() {
             if let Ev::PullCentral { cpipe } = *ev {
+                let cpipe = cpipe as usize;
                 staged[i] = Some((cpipe, self.pull_central_prologue(now, cpipe)));
             }
         }
@@ -2059,11 +2080,11 @@ impl AdcpSwitch {
         });
         for (i, ev) in run.drain(..).enumerate() {
             match ev {
-                Ev::PullCentral { cpipe } => match staged[i].take() {
-                    Some((_, CentralStage::Reschedule(at))) => {
+                Ev::PullCentral { .. } => match staged[i].take() {
+                    Some((cpipe, CentralStage::Reschedule(at))) => {
                         self.schedule_pull_central(at, cpipe)
                     }
-                    Some((_, CentralStage::Idle)) => {
+                    Some((cpipe, CentralStage::Idle)) => {
                         if let Some((pkt, res)) = done[i].take() {
                             self.finish_central(now, cpipe, pkt, res);
                         }
@@ -2234,7 +2255,12 @@ impl AdcpSwitch {
         if !self.egress[epipe].pull_scheduled {
             self.egress[epipe].pull_scheduled = true;
             let at = now.max(self.egress[epipe].next_slot);
-            self.events.push(at, Ev::PullEgress { epipe });
+            self.events.push(
+                at,
+                Ev::PullEgress {
+                    epipe: epipe as u32,
+                },
+            );
         }
     }
 
@@ -2254,7 +2280,9 @@ impl AdcpSwitch {
             self.egress[epipe].pull_scheduled = true;
             self.events.push(
                 SimTime(self.tx[port].ready_at().as_ps() - flight.as_ps()),
-                Ev::PullEgress { epipe },
+                Ev::PullEgress {
+                    epipe: epipe as u32,
+                },
             );
             return;
         }
@@ -2311,7 +2339,13 @@ impl AdcpSwitch {
             );
         }
         self.int_stamp(&mut pkt, Site::EgressPipe(epipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::EgressOut { epipe, pkt });
+        self.events.push(
+            exit,
+            Ev::EgressOut {
+                epipe: epipe as u32,
+                pkt,
+            },
+        );
         if !self.egress[epipe].queues.is_empty() {
             let next = self.egress[epipe].next_slot;
             self.schedule_pull_egress(next, epipe);
@@ -2394,6 +2428,7 @@ impl AdcpSwitch {
             // frame check like a NIC recomputing the CRC on transmit.
             pkt.reseal();
         }
+        pkt.meta.tm_enqueued = now; // TX-stage entry: `Delivered::egress_exit`
         self.delivered.push(Delivered {
             port,
             time: done,

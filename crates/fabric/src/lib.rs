@@ -1,7 +1,7 @@
 //! # adcp-fabric — a leaf–spine network of ADCP switches
 //!
 //! Every experiment below this crate runs **one** switch in isolation; the
-//! paper's ambition (and ROADMAP item 2) is a network. This crate wires
+//! paper's ambition is a network. This crate wires
 //! [`adcp_core::AdcpSwitch`] instances into a leaf–spine fabric:
 //!
 //! * **Topology** — `n_leaves` leaf switches host the endpoints (ports
@@ -15,11 +15,16 @@
 //!   range; ownership comes from the same `adcp-ctrl` planners that
 //!   balance central pipelines inside a single switch ([`plan_owners`]).
 //! * **Driving loop** — each member switch keeps its own calendar queue;
-//!   [`Fabric::run_until_idle`] repeatedly advances every switch to the
-//!   *global* minimum next-event time, then exchanges link traffic. A
-//!   frame handed to a peer always arrives strictly later than the time
-//!   already simulated (positive link latency), so no switch ever receives
-//!   an event in its past and the interleaving is deterministic.
+//!   [`Fabric::run_until_idle`] steps the fabric in conservative lookahead
+//!   windows. With `T` the global minimum next-event time and `L` the link
+//!   latency, every switch runs through `T + L - 1 ps`: a frame handed to
+//!   TX at or after `T` reaches its peer no earlier than `T + L`, so no
+//!   switch can receive an event inside the window. Then link traffic is
+//!   exchanged once, merged in the order a per-timestamp exchange would
+//!   harvest it, and each crossing is pushed into its peer's queue as
+//!   issued at its sender's event time ([`AdcpSwitch::inject_sent`]), so
+//!   every queue fires in exactly the order a lockstep drive produces
+//!   (DESIGN.md §11; pinned against a lockstep reference in the tests).
 //!
 //! The conformance harness (`adcp-bench`) runs every seeded random program
 //! on this fabric *and* on a single big switch and requires bit-identical
@@ -181,6 +186,13 @@ pub struct Fabric {
     /// `up[l][s]`: leaf `l` → spine `s`. `down[s][l]`: spine `s` → leaf `l`.
     up: Vec<Vec<Link>>,
     down: Vec<Vec<Link>>,
+    /// Window length: the minimum link latency.
+    lookahead: Duration,
+    /// One window's deliveries, tagged with the delivering device id and
+    /// reused across windows.
+    inbox: Vec<(usize, Delivered)>,
+    /// Device `run_until` calls so far.
+    device_runs: u64,
     host_injected: u64,
     host_delivered: u64,
     forwarded: u64,
@@ -283,6 +295,9 @@ impl Fabric {
             spines,
             up,
             down,
+            lookahead: cfg.link_latency,
+            inbox: Vec::new(),
+            device_runs: 0,
             host_injected: 0,
             host_delivered: 0,
             forwarded: 0,
@@ -338,6 +353,12 @@ impl Fabric {
         self.forwarded
     }
 
+    /// Device `run_until` calls made so far: one per device with work per
+    /// lookahead window.
+    pub fn device_runs(&self) -> u64 {
+        self.device_runs
+    }
+
     /// Install an entry of the *original* program on every leaf — the
     /// fabric analogue of one-big-switch [`AdcpSwitch::install_all`].
     pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
@@ -379,63 +400,67 @@ impl Fabric {
         p
     }
 
-    /// Drain every switch's deliveries: host-slot frames are recorded
-    /// (remapped to logical ports); uplink/downlink frames cross their
-    /// link and are injected into the peer switch at the link's arrival
-    /// time — strictly after the time the fabric has simulated up to.
+    /// Exchange one window's deliveries (`inbox`): host-slot frames are
+    /// recorded (remapped to logical ports); uplink/downlink frames cross
+    /// their link and are injected into the peer switch at the link's
+    /// arrival time — after the window the fabric has simulated through.
+    ///
+    /// Each device's deliveries arrive in handling order and devices in id
+    /// order, so a stable sort by handling time (`egress_exit`) yields the
+    /// order a per-timestamp exchange harvests them in: by time, then
+    /// device, then handling order. That fixes the order in which frames
+    /// enter each link and each peer's queue.
     fn exchange(&mut self) {
-        for l in 0..self.leaves.len() {
-            for d in self.leaves[l].take_delivered() {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        if !inbox.is_sorted_by_key(|(_, d)| d.egress_exit()) {
+            inbox.sort_by_key(|(_, d)| d.egress_exit());
+        }
+        let n_leaves = self.leaves.len();
+        for (dev, d) in inbox.drain(..) {
+            let sent = d.egress_exit();
+            let tx_done = d.time;
+            if dev < n_leaves {
+                let l = dev;
                 let port = d.port.0 as u32;
                 if port < self.spec.hosts_per_leaf {
                     let logical = self.spec.logical_of(l as u32, port);
                     self.host_delivered += 1;
                     self.delivered.push(Delivered {
                         port: PortId(logical as u16),
-                        time: d.time,
-                        data: d.data,
-                        meta: d.meta,
+                        ..d
                     });
-                } else {
-                    let s = (port - self.spec.hosts_per_leaf) as usize;
-                    let tx_done = d.time;
-                    let pkt = Self::relay(d);
-                    let arrive = self.up[l][s].transfer(&pkt, tx_done);
-                    self.forwarded += 1;
-                    if self.record_crossings {
-                        self.record_crossing(Crossing {
-                            pkt: pkt.meta.id,
-                            flow: pkt.meta.flow.0,
-                            from_device: l as u16,
-                            to_device: (self.spec.n_leaves as usize + s) as u16,
-                            depart: tx_done,
-                            arrive,
-                        });
-                    }
-                    self.spines[s].inject(PortId(l as u16), pkt, arrive);
+                    continue;
                 }
-            }
-        }
-        for s in 0..self.spines.len() {
-            for d in self.spines[s].take_delivered() {
+                let s = (port - self.spec.hosts_per_leaf) as usize;
+                let pkt = Self::relay(d);
+                let arrive = self.up[l][s].transfer(&pkt, tx_done);
+                self.crossed(&pkt, l, n_leaves + s, tx_done, arrive);
+                self.spines[s].inject_sent(PortId(l as u16), pkt, arrive, sent);
+            } else {
+                let s = dev - n_leaves;
                 let leaf = d.port.0 as usize;
-                let tx_done = d.time;
                 let pkt = Self::relay(d);
                 let arrive = self.down[s][leaf].transfer(&pkt, tx_done);
-                self.forwarded += 1;
-                if self.record_crossings {
-                    self.record_crossing(Crossing {
-                        pkt: pkt.meta.id,
-                        flow: pkt.meta.flow.0,
-                        from_device: (self.spec.n_leaves as usize + s) as u16,
-                        to_device: leaf as u16,
-                        depart: tx_done,
-                        arrive,
-                    });
-                }
+                self.crossed(&pkt, dev, leaf, tx_done, arrive);
                 let uplink = self.spec.uplink_port(s as u32) as u16;
-                self.leaves[leaf].inject(PortId(uplink), pkt, arrive);
+                self.leaves[leaf].inject_sent(PortId(uplink), pkt, arrive, sent);
             }
+        }
+        self.inbox = inbox;
+    }
+
+    /// Count one link crossing and record it when crossings are kept.
+    fn crossed(&mut self, pkt: &Packet, from: usize, to: usize, depart: SimTime, arrive: SimTime) {
+        self.forwarded += 1;
+        if self.record_crossings {
+            self.record_crossing(Crossing {
+                pkt: pkt.meta.id,
+                flow: pkt.meta.flow.0,
+                from_device: from as u16,
+                to_device: to as u16,
+                depart,
+                arrive,
+            });
         }
     }
 
@@ -469,7 +494,6 @@ impl Fabric {
         (self.spec.n_leaves as usize + s) as u16
     }
 
-    /// Human name of an INT device id (`leaf0`, `spine1`, …).
     /// Total device count: leaves first, then spines.
     pub fn n_devices(&self) -> u16 {
         (self.leaves.len() + self.spines.len()) as u16
@@ -527,16 +551,23 @@ impl Fabric {
             .min()
     }
 
-    /// Run the fabric to quiescence. Lockstep rounds: advance every switch
-    /// holding an event at the global minimum next-event time, then
-    /// exchange link traffic; repeat until no switch has pending work.
-    /// Returns the later of the last event and the last host delivery.
+    /// Run the fabric to quiescence in lookahead windows: with `T` the
+    /// global minimum next-event time, every switch with work runs through
+    /// `T + link_latency - 1 ps` (no frame can reach it sooner), then link
+    /// traffic is exchanged once; repeat until no switch has pending work.
+    /// Every switch handles exactly the events, in exactly the order, of a
+    /// drive that steps one global timestamp at a time. Returns the time of
+    /// the last event handled.
     pub fn run_until_idle(&mut self) -> SimTime {
         let mut last = SimTime::ZERO;
         while let Some(t) = self.next_event_time() {
-            for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
-                if sw.next_event_time() == Some(t) {
-                    last = last.max(sw.run_until(t));
+            let horizon = SimTime(t.as_ps() + self.lookahead.as_ps() - 1);
+            let devices = self.leaves.iter_mut().chain(self.spines.iter_mut());
+            for (dev, sw) in devices.enumerate() {
+                if sw.next_event_time().is_some_and(|nt| nt <= horizon) {
+                    last = last.max(sw.run_until(horizon));
+                    self.device_runs += 1;
+                    self.inbox.extend(sw.drain_delivered().map(|d| (dev, d)));
                 }
             }
             self.exchange();
@@ -911,6 +942,279 @@ pub fn run_demo_keep(seed: u64, packets: u64, cfg: FabricConfig) -> (DemoReport,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcp_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
+
+    /// The per-timestamp driving loop the lookahead windows replaced, kept
+    /// as the reference the windowed loop is pinned against (the way the
+    /// calendar queue keeps its heap oracle): every switch holding an event
+    /// at the global minimum next-event time runs to exactly that time,
+    /// then every delivery is harvested — devices in id order — and
+    /// injected into its peer as an ordinary push.
+    impl Fabric {
+        fn run_until_idle_lockstep(&mut self) -> SimTime {
+            let mut last = SimTime::ZERO;
+            while let Some(t) = self.next_event_time() {
+                for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
+                    if sw.next_event_time() == Some(t) {
+                        last = last.max(sw.run_until(t));
+                        self.device_runs += 1;
+                    }
+                }
+                self.exchange_lockstep();
+            }
+            last
+        }
+
+        fn exchange_lockstep(&mut self) {
+            let n = self.leaves.len();
+            for l in 0..n {
+                for d in self.leaves[l].take_delivered() {
+                    let port = d.port.0 as u32;
+                    if port < self.spec.hosts_per_leaf {
+                        let logical = self.spec.logical_of(l as u32, port);
+                        self.host_delivered += 1;
+                        self.delivered.push(Delivered {
+                            port: PortId(logical as u16),
+                            ..d
+                        });
+                    } else {
+                        let s = (port - self.spec.hosts_per_leaf) as usize;
+                        let tx_done = d.time;
+                        let pkt = Self::relay(d);
+                        let arrive = self.up[l][s].transfer(&pkt, tx_done);
+                        self.crossed(&pkt, l, n + s, tx_done, arrive);
+                        self.spines[s].inject(PortId(l as u16), pkt, arrive);
+                    }
+                }
+            }
+            for s in 0..self.spines.len() {
+                for d in self.spines[s].take_delivered() {
+                    let leaf = d.port.0 as usize;
+                    let tx_done = d.time;
+                    let pkt = Self::relay(d);
+                    let arrive = self.down[s][leaf].transfer(&pkt, tx_done);
+                    self.crossed(&pkt, n + s, leaf, tx_done, arrive);
+                    let uplink = self.spec.uplink_port(s as u32) as u16;
+                    self.leaves[leaf].inject(PortId(uplink), pkt, arrive);
+                }
+            }
+        }
+    }
+
+    /// Everything a run leaves behind that depends on event order: the
+    /// report, the quiescence time, the delivered frames in harvest order,
+    /// link crossings, and every device's metrics, journey trace and INT
+    /// postcards.
+    fn fingerprint(fabric: &mut Fabric, quiesce: SimTime) -> Vec<String> {
+        let json = |v: serde::Value| {
+            let mut s = String::new();
+            v.encode(&mut s);
+            s
+        };
+        let mut out = vec![
+            json(serde::Serialize::to_value(&fabric.report())),
+            format!("quiesce {quiesce:?} forwarded {}", fabric.forwarded()),
+            format!("{:?}", fabric.crossings()),
+        ];
+        for d in fabric.take_delivered() {
+            out.push(format!(
+                "{:?} {:?} {} {:?}",
+                d.port,
+                d.time,
+                d.meta.id,
+                &d.data[..]
+            ));
+        }
+        for dev in 0..fabric.n_devices() {
+            let n = fabric.n_leaves();
+            let sw = if (dev as usize) < n {
+                fabric.leaf(dev as usize)
+            } else {
+                fabric.spine(dev as usize - n)
+            };
+            out.push(json(sw.metrics_json()));
+            out.push(json(fabric.device_trace_json(dev)));
+        }
+        out.push(format!("{:?}", fabric.drain_postcards()));
+        out
+    }
+
+    /// Run the same seeded workload through a windowed and a lockstep
+    /// fabric; return both fingerprints and both device-run counts.
+    fn windowed_and_lockstep(
+        seed: u64,
+        cfg: FabricConfig,
+        load: impl Fn(&mut Fabric),
+    ) -> ((Vec<String>, u64), (Vec<String>, u64)) {
+        let run = |lockstep: bool| {
+            let (mut fabric, _) = demo_fabric(seed, cfg.clone());
+            load(&mut fabric);
+            let quiesce = if lockstep {
+                fabric.run_until_idle_lockstep()
+            } else {
+                fabric.run_until_idle()
+            };
+            fabric.check_conservation();
+            (fingerprint(&mut fabric, quiesce), fabric.device_runs())
+        };
+        (run(false), run(true))
+    }
+
+    fn assert_windowed_matches_lockstep(
+        what: &str,
+        seed: u64,
+        cfg: FabricConfig,
+        load: impl Fn(&mut Fabric),
+    ) {
+        let ((win, win_runs), (lock, lock_runs)) = windowed_and_lockstep(seed, cfg, load);
+        assert_eq!(win.len(), lock.len(), "{what}: delivered count differs");
+        for (i, (w, l)) in win.iter().zip(&lock).enumerate() {
+            assert_eq!(w, l, "{what} (seed {seed}): fingerprint line {i} differs");
+        }
+        assert!(
+            win_runs < lock_runs,
+            "{what}: windows made {win_runs} device runs, lockstep {lock_runs}"
+        );
+    }
+
+    /// A demo frame padded with zero payload to `len` bytes.
+    fn sized_frame(key: u64, idx: u64, val: u64, len: usize) -> Vec<u8> {
+        let mut buf = demo::frame(key, idx, val);
+        buf.resize(len.max(buf.len()), 0);
+        buf
+    }
+
+    /// Journey tracing and INT stamping on, so tie order also shows in
+    /// traces, postcards and recorded crossings.
+    fn observed_cfg() -> FabricConfig {
+        FabricConfig {
+            switch: AdcpConfig {
+                trace: true,
+                int: true,
+                ..AdcpConfig::default()
+            },
+            ..FabricConfig::default()
+        }
+    }
+
+    #[test]
+    fn windows_match_lockstep_with_mixed_frame_sizes() {
+        for seed in [1u64, 2, 3, 7] {
+            for cfg in [FabricConfig::default(), observed_cfg()] {
+                assert_windowed_matches_lockstep("mixed sizes", seed, cfg, |fabric| {
+                    let mut rng = SimRng::seed_from(seed ^ 0x51CE);
+                    let ports = fabric.spec().logical_ports() as u64;
+                    let mut t = 1_000u64;
+                    for i in 0..400u64 {
+                        let len = rng.range(64usize..1501);
+                        let idx = rng.range(0u64..DEMO_CELLS as u64);
+                        let frame = sized_frame(rng.range(0u64..1 << 32), idx, 1 + i, len);
+                        let pkt = Packet::new(i, FlowId(1000 + i), frame).seal();
+                        // Bursty gaps (0–300 ns) keep queues and links busy.
+                        t += rng.range(0u64..300) * 1_000;
+                        fabric.inject(rng.range(0..ports) as u32, pkt, SimTime(t));
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn windows_match_lockstep_with_same_instant_spine_arrivals() {
+        // Identical frames for one owner, injected at the same instant on
+        // every leaf's host slot 0: each non-owner leaf forwards its copy
+        // through the owner's spine at the same instant, so the frames
+        // reach that spine from different leaves at one timestamp.
+        for seed in [1u64, 5] {
+            let load = |fabric: &mut Fabric| {
+                let n = fabric.n_leaves() as u32;
+                let owner = fabric.spec().owners[9];
+                let mut id = 0u64;
+                for round in 0..40u64 {
+                    let t = SimTime::from_ns(1 + round * 250);
+                    for l in 0..n {
+                        let pkt = Packet::new(id, FlowId(id), sized_frame(7, 9, 1, 64)).seal();
+                        fabric.inject(fabric.spec().logical_of(l, 0), pkt, t);
+                        id += 1;
+                    }
+                }
+                assert!(owner < n);
+            };
+            let (mut fabric, _) = demo_fabric(seed, observed_cfg());
+            load(&mut fabric);
+            fabric.run_until_idle();
+            let c = fabric.crossings();
+            let tie = c.iter().enumerate().any(|(i, a)| {
+                c[i + 1..].iter().any(|b| {
+                    a.to_device == b.to_device
+                        && a.from_device != b.from_device
+                        && a.arrive == b.arrive
+                        && a.to_device as usize >= fabric.n_leaves()
+                })
+            });
+            assert!(
+                tie,
+                "workload must produce same-instant arrivals at one spine"
+            );
+            for cfg in [FabricConfig::default(), observed_cfg()] {
+                assert_windowed_matches_lockstep("same-instant arrivals", seed, cfg, load);
+            }
+        }
+    }
+
+    #[test]
+    fn windows_match_lockstep_under_host_link_faults() {
+        for seed in [3u64, 11] {
+            for cfg in [FabricConfig::default(), observed_cfg()] {
+                assert_windowed_matches_lockstep("faults", seed, cfg, |fabric| {
+                    let mut rng = SimRng::seed_from(seed);
+                    let mut inj = FaultInjector::new(
+                        FaultConfig {
+                            drop_chance: 0.06,
+                            corrupt_chance: 0.1,
+                            delay_chance: 0.2,
+                            max_delay: Duration::from_ns(2_000),
+                        },
+                        SimRng::seed_from(seed ^ 0xFA17),
+                    );
+                    let ports = fabric.spec().logical_ports() as u64;
+                    for i in 0..300u64 {
+                        let idx = rng.range(0u64..DEMO_CELLS as u64);
+                        let len = rng.range(64usize..400);
+                        let frame = sized_frame(rng.range(0u64..1 << 32), idx, 1 + i, len);
+                        let mut p = Packet::new(i, FlowId(1000 + i), frame).seal();
+                        let base = SimTime::from_ns(1 + i * 150);
+                        let at = match inj.apply(&mut p) {
+                            FaultOutcome::Dropped => continue,
+                            FaultOutcome::Delayed(d) => base + d,
+                            FaultOutcome::Corrupted | FaultOutcome::Pass => base,
+                        };
+                        fabric.inject((i % ports) as u32, p, at);
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn windows_cut_device_runs_on_the_demo() {
+        let ((win, win_runs), (lock, lock_runs)) =
+            windowed_and_lockstep(1, FabricConfig::default(), |fabric| {
+                let mut rng = SimRng::seed_from(0xFAB0_0002);
+                for i in 0..2_000u64 {
+                    let idx = rng.range(0u64..DEMO_CELLS as u64);
+                    let pkt = Packet::new(i, FlowId(1000 + i), demo::frame(i, idx, 1)).seal();
+                    fabric.inject((i % 8) as u32, pkt, SimTime::from_ns(1 + i * 600));
+                }
+            });
+        assert_eq!(win, lock);
+        // The demo's ~20 device runs per packet in lockstep fall several
+        // fold once each run covers a whole window.
+        assert!(
+            win_runs * 3 < lock_runs,
+            "windowed {win_runs} vs lockstep {lock_runs} device runs"
+        );
+    }
 
     #[test]
     fn demo_counter_agrees_with_oracle() {

@@ -31,7 +31,7 @@ use adcp_lang::{
 };
 use adcp_sim::event::EventQueue;
 use adcp_sim::int::{IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP};
-use adcp_sim::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, SeriesId};
+use adcp_sim::metrics::{CounterId, Fold, GaugeId, HistId, MetricsRegistry, MetricsView, SeriesId};
 use adcp_sim::packet::{EgressSpec, FrameBuf, Packet, PacketStore, PortId};
 use adcp_sim::port::{RxPort, TxPort};
 use adcp_sim::queue::BufferPool;
@@ -76,8 +76,7 @@ struct MetricHandles {
     int_truncated: CounterId,
     int_postcards_dropped: CounterId,
     /// Per-region pipeline occupancy (total busy cycles, busiest pipe),
-    /// in ingress/egress order. Pre-registered so the end-of-run mirror is
-    /// handle writes, not name lookups.
+    /// in ingress/egress order, folded in when the registry is read.
     busy: [(CounterId, GaugeId); 2],
 }
 
@@ -272,12 +271,15 @@ struct EgressPipe {
     pull_scheduled: bool,
 }
 
+/// A scheduled event. Pipe indices are `u32` so that the tag and index
+/// share one word ahead of the packet: the event queue moves and sorts
+/// every event by value, so its size is on the hot path.
 enum Ev {
     Inject { port: u16, pkt: Packet },
-    IngressEnter { pipe: usize, pkt: Packet, pass: u8 },
-    IngressOut { pipe: usize, pkt: Packet, pass: u8 },
-    PullEgress { pipe: usize },
-    EgressOut { pipe: usize, pkt: Packet },
+    IngressEnter { pipe: u32, pkt: Packet, pass: u8 },
+    IngressOut { pipe: u32, pkt: Packet, pass: u8 },
+    PullEgress { pipe: u32 },
+    EgressOut { pipe: u32, pkt: Packet },
 }
 
 /// The RMT switch.
@@ -542,7 +544,6 @@ impl RmtSwitch {
         }
         self.batch = batch;
         self.refresh_mat_counters();
-        self.sync_metrics();
         last.max(self.last_delivery)
     }
 
@@ -564,74 +565,50 @@ impl RmtSwitch {
         }
         self.batch = batch;
         self.refresh_mat_counters();
-        self.sync_metrics();
         last
     }
 
-    /// Mirror the ad-hoc [`SwitchCounters`] and per-pipe busy cycles into
-    /// the metrics registry, so the JSON export is the one complete metrics
-    /// path. Values are monotone totals; re-assigning is idempotent.
-    fn sync_metrics(&mut self) {
-        let c = self.counters.clone();
-        let mh = self.mh;
-        let m = &mut self.metrics;
-        m.set_counter(mh.rx_pkts, c.injected);
-        m.set_counter(mh.mac_fcs_drops, c.fcs_drops);
-        m.set_counter(mh.parse_errors, c.parse_errors);
-        m.set_counter(mh.recirc_passes, c.recirc_passes);
-        m.set_counter(mh.tm_drops, c.tm_drops);
-        m.set_counter(mh.tm_queue_drops, c.queue_drops);
-        m.set_counter(mh.tm_mcast_copies, c.mcast_copies);
-        m.set_counter(mh.deparse_allocs, c.deparse_allocs);
-        m.set_counter(mh.mat_lookups, c.mat_lookups);
-        m.set_counter(mh.mat_hits, c.mat_hits);
-        m.set_counter(mh.drops_filtered, c.filtered);
-        m.set_counter(mh.drops_no_decision, c.no_decision);
-        m.set_counter(mh.drops_bad_port, c.bad_port);
-        m.set_counter(mh.tx_pkts, c.delivered);
-        m.set_gauge(mh.tm_buffer_gauge, self.pool.used());
-        m.set_counter(mh.int_stamps, self.int_stamps);
-        m.set_counter(mh.int_postcards, self.int_postcards);
-        m.set_counter(mh.int_truncated, self.int_truncated);
-        m.set_counter(mh.int_postcards_dropped, self.int_postcards_dropped);
-        // Pipeline occupancy, aggregated (per-pipe cardinality would bloat
-        // every report on 64-port targets): total busy cycles plus the
-        // busiest pipe, per region.
-        let stages: [(usize, u64, u64); 2] = [
-            (
-                0,
-                self.ingress.iter().map(|p| p.busy_cycles).sum(),
-                self.ingress
-                    .iter()
-                    .map(|p| p.busy_cycles)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            (
-                1,
-                self.egress.iter().map(|p| p.busy_cycles).sum(),
-                self.egress.iter().map(|p| p.busy_cycles).max().unwrap_or(0),
-            ),
+    /// Export the per-stage metrics block: [`RmtSwitch::metrics`] as JSON
+    /// (see [`MetricsView::to_json`]).
+    pub fn metrics_json(&self) -> serde::Value {
+        self.metrics().to_json()
+    }
+
+    /// The per-stage metrics registry with this switch's own counts folded
+    /// in at read time: [`SwitchCounters`], INT totals and per-pipe busy
+    /// cycles are the single source of truth, so nothing is copied into
+    /// the registry while the switch runs.
+    pub fn metrics(&self) -> MetricsView<'_> {
+        let c = &self.counters;
+        let mh = &self.mh;
+        let (lookups, hits) = self.mat_totals();
+        let folds = [
+            Fold::Counter(mh.rx_pkts, c.injected),
+            Fold::Counter(mh.mac_fcs_drops, c.fcs_drops),
+            Fold::Counter(mh.parse_errors, c.parse_errors),
+            Fold::Counter(mh.recirc_passes, c.recirc_passes),
+            Fold::Counter(mh.tm_drops, c.tm_drops),
+            Fold::Counter(mh.tm_queue_drops, c.queue_drops),
+            Fold::Counter(mh.tm_mcast_copies, c.mcast_copies),
+            Fold::Counter(mh.deparse_allocs, c.deparse_allocs),
+            Fold::Counter(mh.mat_lookups, lookups),
+            Fold::Counter(mh.mat_hits, hits),
+            Fold::Counter(mh.drops_filtered, c.filtered),
+            Fold::Counter(mh.drops_no_decision, c.no_decision),
+            Fold::Counter(mh.drops_bad_port, c.bad_port),
+            Fold::Counter(mh.tx_pkts, c.delivered),
+            Fold::Gauge(mh.tm_buffer_gauge, self.pool.used()),
+            Fold::Counter(mh.int_stamps, self.int_stamps),
+            Fold::Counter(mh.int_postcards, self.int_postcards),
+            Fold::Counter(mh.int_truncated, self.int_truncated),
+            Fold::Counter(mh.int_postcards_dropped, self.int_postcards_dropped),
         ];
-        for (region, total, max) in stages {
-            let (id, g) = mh.busy[region];
-            self.metrics.set_counter(id, total);
-            self.metrics.set_gauge(g, max);
-        }
-    }
-
-    /// Export the per-stage metrics block (see
-    /// [`MetricsRegistry::to_json`]), synchronizing mirrored counters
-    /// first so the snapshot is complete at any point.
-    pub fn metrics_json(&mut self) -> serde::Value {
-        self.refresh_mat_counters();
-        self.sync_metrics();
-        self.metrics.to_json()
-    }
-
-    /// Shared access to the per-stage metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        let busy = [
+            Fold::busy(mh.busy[0], self.ingress.iter().map(|p| p.busy_cycles)),
+            Fold::busy(mh.busy[1], self.egress.iter().map(|p| p.busy_cycles)),
+        ];
+        self.metrics
+            .fold(folds.into_iter().chain(busy.into_iter().flatten()))
     }
 
     /// Export the journey tracer's state (sampled hops, drop forensics) as
@@ -716,26 +693,25 @@ impl RmtSwitch {
         }
     }
 
-    /// Copy the per-table lookup/hit totals into [`SwitchCounters`] so a
-    /// counters snapshot taken at quiescence is complete. Totals are
-    /// monotone, so re-assigning on every call is idempotent.
-    fn refresh_mat_counters(&mut self) {
-        let stats = self
-            .ingress
+    /// Match-table (lookups, hits) summed over every pipe's tables — the
+    /// per-table stats are the source of truth for both totals.
+    fn mat_totals(&self) -> (u64, u64) {
+        self.ingress
             .iter()
             .flat_map(|p| [&p.state.stats, &p.central.stats])
             .chain(
                 self.egress
                     .iter()
                     .flat_map(|p| [&p.central.stats, &p.state.stats]),
-            );
-        let (mut lookups, mut hits) = (0, 0);
-        for s in stats {
-            lookups += s.lookups;
-            hits += s.hits;
-        }
-        self.counters.mat_lookups = lookups;
-        self.counters.mat_hits = hits;
+            )
+            .fold((0, 0), |(l, h), s| (l + s.lookups, h + s.hits))
+    }
+
+    /// Copy the per-table lookup/hit totals into [`SwitchCounters`] so a
+    /// counters snapshot taken after any run is complete. Totals are
+    /// monotone, so re-assigning on every call is idempotent.
+    fn refresh_mat_counters(&mut self) {
+        (self.counters.mat_lookups, self.counters.mat_hits) = self.mat_totals();
     }
 
     /// Drain packets delivered so far.
@@ -777,10 +753,14 @@ impl RmtSwitch {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
-            Ev::IngressEnter { pipe, pkt, pass } => self.on_ingress_enter(now, pipe, pkt, pass),
-            Ev::IngressOut { pipe, pkt, pass } => self.on_ingress_out(now, pipe, pkt, pass),
-            Ev::PullEgress { pipe } => self.on_pull_egress(now, pipe),
-            Ev::EgressOut { pipe, pkt } => self.on_egress_out(now, pipe, pkt),
+            Ev::IngressEnter { pipe, pkt, pass } => {
+                self.on_ingress_enter(now, pipe as usize, pkt, pass)
+            }
+            Ev::IngressOut { pipe, pkt, pass } => {
+                self.on_ingress_out(now, pipe as usize, pkt, pass)
+            }
+            Ev::PullEgress { pipe } => self.on_pull_egress(now, pipe as usize),
+            Ev::EgressOut { pipe, pkt } => self.on_egress_out(now, pipe as usize, pkt),
         }
     }
 
@@ -805,8 +785,14 @@ impl RmtSwitch {
         }
         self.int_stamp(&mut pkt, Site::Rx(PortId(port)), now, done, HopCtx::NONE);
         let pipe = self.pipe_of_port(PortId(port));
-        self.events
-            .push(done, Ev::IngressEnter { pipe, pkt, pass: 0 });
+        self.events.push(
+            done,
+            Ev::IngressEnter {
+                pipe: pipe as u32,
+                pkt,
+                pass: 0,
+            },
+        );
     }
 
     /// Parse and run the pass's region, then occupy a pipeline slot.
@@ -901,7 +887,14 @@ impl RmtSwitch {
             );
         }
         self.int_stamp(&mut pkt, Site::IngressPipe(pipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::IngressOut { pipe, pkt, pass });
+        self.events.push(
+            exit,
+            Ev::IngressOut {
+                pipe: pipe as u32,
+                pkt,
+                pass,
+            },
+        );
     }
 
     fn on_ingress_out(&mut self, now: SimTime, pipe: usize, mut pkt: Packet, pass: u8) {
@@ -932,7 +925,7 @@ impl RmtSwitch {
             self.events.push(
                 at,
                 Ev::IngressEnter {
-                    pipe: target,
+                    pipe: target as u32,
                     pkt,
                     pass: 1,
                 },
@@ -1070,7 +1063,7 @@ impl RmtSwitch {
         if !self.egress[pipe].pull_scheduled {
             self.egress[pipe].pull_scheduled = true;
             let at = now.max(self.egress[pipe].next_slot);
-            self.events.push(at, Ev::PullEgress { pipe });
+            self.events.push(at, Ev::PullEgress { pipe: pipe as u32 });
         }
     }
 
@@ -1109,7 +1102,8 @@ impl RmtSwitch {
                 // Every backlogged port is mid-serialization; retry when
                 // the first frees up.
                 self.egress[pipe].pull_scheduled = true;
-                self.events.push(earliest_ready, Ev::PullEgress { pipe });
+                self.events
+                    .push(earliest_ready, Ev::PullEgress { pipe: pipe as u32 });
             }
             return;
         };
@@ -1157,7 +1151,13 @@ impl RmtSwitch {
             );
         }
         self.int_stamp(&mut pkt, Site::EgressPipe(pipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::EgressOut { pipe, pkt });
+        self.events.push(
+            exit,
+            Ev::EgressOut {
+                pipe: pipe as u32,
+                pkt,
+            },
+        );
         if !self.egress[pipe].queues.is_empty() {
             let next = self.egress[pipe].next_slot;
             self.schedule_pull(next, pipe);

@@ -2,9 +2,15 @@
 //!
 //! Both switch models are event-driven simulations: packets move between
 //! resources (ports, pipelines, traffic managers) at computed times. The
-//! queue orders events by `(time, sequence)` so that simultaneous events
-//! fire in insertion order — which, combined with [`crate::rng::SimRng`],
-//! makes whole runs reproducible bit-for-bit.
+//! queue orders events by `(time, issued, sequence)`: simultaneous events
+//! fire in the order they were issued, and `issued` — the simulated time
+//! at which an event was scheduled — is `now` for every ordinary
+//! [`EventQueue::push`]. Since `now` never decreases, ordinary pushes fire
+//! in plain insertion order; the `issued` key only matters for
+//! [`EventQueue::push_issued`], which a fabric uses to schedule a frame
+//! that a peer device sent at an earlier simulated time than this queue has
+//! reached. Combined with [`crate::rng::SimRng`], this makes whole runs
+//! reproducible bit-for-bit.
 //!
 //! # Calendar-queue scheduler
 //!
@@ -23,13 +29,14 @@
 //!   that via a ring-resident event count.
 //! * **Current-day drain** — entering a day moves its bucket (plus any
 //!   overflow events that matured into it) into a reusable deque, sorted
-//!   once, ascending, by `(time, seq)`: a pop is `pop_front`. Pushes that
-//!   land in the open day carry the largest `seq` yet issued, so they are
-//!   usually a plain `push_back` (an insert only when an event later in
-//!   the day is already pending); past times clamp to `now` and `seq`
-//!   grows monotonically, so FIFO order is preserved exactly.
+//!   once, ascending, by `(time, issued, seq)`: a pop is `pop_front`.
+//!   Ordinary pushes that land in the open day carry the largest key yet
+//!   issued, so they are usually a plain `push_back` (an insert only when
+//!   an event later in the day is already pending); past times clamp to
+//!   `now` and `seq` grows monotonically, so FIFO order is preserved
+//!   exactly.
 //! * **Overflow heap** — events beyond the ring window go to a binary heap
-//!   keyed by `(time, seq)`. They are merged into the drain when their day
+//!   keyed the same way. They are merged into the drain when their day
 //!   opens. Only far-future outliers pay the O(log n) heap cost.
 //!
 //! Unlike the original `BinaryHeap` + slab design, nothing here retains a
@@ -60,19 +67,27 @@ fn day_of(t: SimTime) -> u64 {
     t.0 >> DAY_SHIFT
 }
 
-/// A far-future event parked in the overflow heap. Ordered by `(time, seq)`
-/// inverted, so the `BinaryHeap` max is the earliest event; `seq` is
-/// unique, which makes the ordering total without requiring `E: Ord`.
+/// Firing order of one event: time first, then the simulated time it was
+/// issued at, then insertion order. `seq` is unique, so the order is total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    t: SimTime,
+    issued: SimTime,
+    seq: u64,
+}
+
+/// A far-future event parked in the overflow heap. Ordered by [`Key`]
+/// inverted, so the `BinaryHeap` max is the earliest event, without
+/// requiring `E: Ord`.
 #[derive(Debug)]
 struct Far<E> {
-    t: SimTime,
-    seq: u64,
+    key: Key,
     ev: E,
 }
 
 impl<E> PartialEq for Far<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Far<E> {}
@@ -83,7 +98,7 @@ impl<E> PartialOrd for Far<E> {
 }
 impl<E> Ord for Far<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -94,7 +109,7 @@ pub struct EventQueue<E> {
     /// unsorted. A slot only ever holds events of a single absolute day:
     /// pushes beyond the window go to `overflow`, and a day's slot cannot
     /// be reused until the drain has moved past that day.
-    ring: Vec<Vec<(SimTime, u64, E)>>,
+    ring: Vec<Vec<(Key, E)>>,
     /// Occupancy bitmap over ring slots.
     occ: [u64; WORDS],
     /// Summary bitmap: bit `w` set iff `occ[w] != 0`. Makes the next-day
@@ -105,11 +120,11 @@ pub struct EventQueue<E> {
     ring_len: usize,
     /// The day currently being drained.
     cur_day: u64,
-    /// Events of `cur_day`, sorted ascending by `(time, seq)`; the next
-    /// event to fire is `drain.front()`. A deque so that the common push
-    /// into the open day — a fresh event with the largest `(time, seq)` so
-    /// far — is an O(1) `push_back` rather than a front-of-buffer memmove.
-    drain: VecDeque<(SimTime, u64, E)>,
+    /// Events of `cur_day`, sorted ascending by [`Key`]; the next event to
+    /// fire is `drain.front()`. A deque so that the common push into the
+    /// open day — a fresh event with the largest key so far — is an O(1)
+    /// `push_back` rather than a front-of-buffer memmove.
+    drain: VecDeque<(Key, E)>,
     /// Events beyond the ring window, earliest on top.
     overflow: BinaryHeap<Far<E>>,
     /// Pending-event count across all tiers.
@@ -159,36 +174,49 @@ impl<E> EventQueue<E> {
     /// Schedule `ev` at `t`. Scheduling in the past is clamped to `now`
     /// (a resource that frees up "already" fires immediately).
     pub fn push(&mut self, t: SimTime, ev: E) {
-        let t = t.max(self.now);
-        let seq = self.seq;
+        self.push_issued(t, self.now, ev);
+    }
+
+    /// Schedule `ev` at `t` as if it had been pushed at simulated time
+    /// `issued`: among events at `t` it fires after every event issued at
+    /// or before `issued` (and pushed before this call) and before every
+    /// event issued later. A fabric uses this to hand a device a frame a
+    /// peer sent at `issued` after the device has already simulated past
+    /// `issued` — the tie order is then the one the device would have seen
+    /// had the frame been pushed at `issued`. `t` is clamped to `now`.
+    pub fn push_issued(&mut self, t: SimTime, issued: SimTime, ev: E) {
+        let key = Key {
+            t: t.max(self.now),
+            issued,
+            seq: self.seq,
+        };
         self.seq += 1;
         self.scheduled += 1;
         self.len += 1;
         self.hwm = self.hwm.max(self.len);
-        let d = day_of(t);
+        let d = day_of(key.t);
         if d == self.cur_day {
-            // The open day. `seq` is the largest ever issued, so unless an
-            // event *later in the day* is already pending this is a plain
-            // append; otherwise insert at the (ascending) sorted position.
+            // The open day. An ordinary push carries the largest key yet
+            // issued, so unless an event *later in the day* is already
+            // pending this is a plain append; otherwise insert at the
+            // (ascending) sorted position.
             match self.drain.back() {
-                Some(&(bt, bs, _)) if (bt, bs) > (t, seq) => {
-                    let at = self
-                        .drain
-                        .partition_point(|&(et, es, _)| (et, es) < (t, seq));
-                    self.drain.insert(at, (t, seq, ev));
+                Some((bk, _)) if *bk > key => {
+                    let at = self.drain.partition_point(|(ek, _)| *ek < key);
+                    self.drain.insert(at, (key, ev));
                 }
-                _ => self.drain.push_back((t, seq, ev)),
+                _ => self.drain.push_back((key, ev)),
             }
         } else if d.wrapping_sub(self.cur_day) < DAYS {
             let slot = (d & DAY_MASK) as usize;
             let before = self.ring[slot].capacity();
-            self.ring[slot].push((t, seq, ev));
+            self.ring[slot].push((key, ev));
             self.ring_cap += self.ring[slot].capacity() - before;
             self.ring_len += 1;
             self.occ[slot / 64] |= 1 << (slot % 64);
             self.occ_sum |= 1 << (slot / 64);
         } else {
-            self.overflow.push(Far { t, seq, ev });
+            self.overflow.push(Far { key, ev });
         }
     }
 
@@ -226,7 +254,7 @@ impl<E> EventQueue<E> {
             return false;
         }
         let ring_day = self.next_ring_day();
-        let over_day = self.overflow.peek().map(|f| day_of(f.t));
+        let over_day = self.overflow.peek().map(|f| day_of(f.key.t));
         let d = match (ring_day, over_day) {
             (Some(r), Some(o)) => r.min(o),
             (Some(r), None) => r,
@@ -257,15 +285,13 @@ impl<E> EventQueue<E> {
             }
         }
         while let Some(top) = self.overflow.peek() {
-            if day_of(top.t) != d {
+            if day_of(top.key.t) != d {
                 break;
             }
-            let Far { t, seq, ev } = self.overflow.pop().unwrap();
-            self.drain.push_back((t, seq, ev));
+            let Far { key, ev } = self.overflow.pop().unwrap();
+            self.drain.push_back((key, ev));
         }
-        self.drain
-            .make_contiguous()
-            .sort_unstable_by_key(|e| (e.0, e.1));
+        self.drain.make_contiguous().sort_unstable_by_key(|e| e.0);
         true
     }
 
@@ -274,58 +300,60 @@ impl<E> EventQueue<E> {
         if self.drain.is_empty() && !self.refill() {
             return None;
         }
-        let (t, _, ev) = self.drain.pop_front().expect("refill produced events");
-        self.now = t;
+        let (key, ev) = self.drain.pop_front().expect("refill produced events");
+        self.now = key.t;
         self.len -= 1;
-        Some((t, ev))
+        Some((key.t, ev))
     }
 
     /// Pop every event sharing the next (minimal) timestamp into `batch`,
     /// advancing `now` to that time. The batch is cleared first; events
-    /// appear in FIFO `seq` order. Handlers may push new events while the
-    /// batch is being consumed — a push at the same timestamp gets a larger
-    /// `seq`, lands after the current batch, and is returned by the *next*
-    /// call, which is exactly the order the one-at-a-time loop produces.
+    /// appear in firing order. Handlers may push new events while the
+    /// batch is being consumed — a push at the same timestamp is issued
+    /// now, with a larger `seq`, so it lands after the current batch and is
+    /// returned by the *next* call, which is exactly the order the
+    /// one-at-a-time loop produces.
     ///
-    /// Multi-queue use (fabrics): when several switches each own a queue
-    /// and a driving loop advances all of them to the *global* minimum
-    /// `peek_time` before exchanging link events, the interleaving of
-    /// batches across queues preserves the global `(time, seq)` order a
-    /// single merged queue would produce — provided cross-queue events are
-    /// always scheduled strictly after the time already drained (positive
-    /// link latency guarantees this). Pinned against the `BinaryHeap`
-    /// oracle in `merged_queues_preserve_global_order_through_link_events`.
+    /// Multi-queue use (fabrics): each switch owns a queue, and the fabric
+    /// advances every queue through a lookahead window before it exchanges
+    /// link events, pushing each cross-queue event with
+    /// [`EventQueue::push_issued`] at the time its sender handled it. A
+    /// cross-queue event is always scheduled past the window (positive link
+    /// latency), and the `issued` key restores the tie order a per-timestamp
+    /// exchange would have produced, so every queue fires in the same order
+    /// as under a lockstep drive. Pinned against the `BinaryHeap` oracle in
+    /// `windowed_queues_match_lockstep_order`.
     pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         batch.clear();
         if self.drain.is_empty() && !self.refill() {
             return None;
         }
-        let t = self.drain.front().expect("refill produced events").0;
+        let t = self.drain.front().expect("refill produced events").0.t;
         self.now = t;
         // The drain is ascending, so the run of events at `t` is the head,
-        // already in FIFO `seq` order.
-        let k = self.drain.partition_point(|&(et, _, _)| et <= t);
-        batch.extend(self.drain.drain(..k).map(|(_, _, ev)| ev));
+        // already in firing order.
+        let k = self.drain.partition_point(|(ek, _)| ek.t <= t);
+        batch.extend(self.drain.drain(..k).map(|(_, ev)| ev));
         self.len -= batch.len();
         Some(t)
     }
 
     /// Time of the next pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(&(t, _, _)) = self.drain.front() {
-            return Some(t);
+        if let Some((k, _)) = self.drain.front() {
+            return Some(k.t);
         }
         if self.len == 0 {
             return None;
         }
-        let over_t = self.overflow.peek().map(|f| f.t);
+        let over_t = self.overflow.peek().map(|f| f.key.t);
         match self.next_ring_day() {
             None => over_t,
             Some(d) => {
                 let slot = (d & DAY_MASK) as usize;
                 let ring_min = self.ring[slot]
                     .iter()
-                    .map(|&(t, _, _)| t)
+                    .map(|(k, _)| k.t)
                     .min()
                     .expect("occupied slot is non-empty");
                 match over_t {
@@ -358,7 +386,7 @@ impl<E> EventQueue<E> {
 }
 
 /// The original `BinaryHeap` + slab implementation, kept as a test oracle:
-/// the calendar queue must reproduce its `(time, seq)` pop sequence
+/// the calendar queue must reproduce its `(time, issued, seq)` pop sequence
 /// bit-for-bit (see `calendar_queue_matches_heap_oracle`).
 #[cfg(test)]
 pub mod oracle {
@@ -367,9 +395,10 @@ pub mod oracle {
     use std::collections::BinaryHeap;
 
     #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-    struct Key(SimTime, u64);
+    struct Key(SimTime, SimTime, u64);
 
-    /// Reference queue: `BinaryHeap` keyed by `(time, seq)` over a slab.
+    /// Reference queue: `BinaryHeap` keyed by `(time, issued, seq)` over a
+    /// slab.
     #[derive(Debug)]
     pub struct HeapQueue<E> {
         heap: BinaryHeap<Reverse<(Key, usize)>>,
@@ -399,6 +428,12 @@ pub mod oracle {
 
         /// Schedule `ev` at `t` (clamped to now), FIFO among ties.
         pub fn push(&mut self, t: SimTime, ev: E) {
+            self.push_issued(t, self.now, ev);
+        }
+
+        /// Schedule `ev` at `t` (clamped to now), ordered among ties by
+        /// `issued`, then FIFO.
+        pub fn push_issued(&mut self, t: SimTime, issued: SimTime, ev: E) {
             let t = t.max(self.now);
             let idx = match self.free.pop() {
                 Some(i) => {
@@ -410,13 +445,13 @@ pub mod oracle {
                     self.slots.len() - 1
                 }
             };
-            self.heap.push(Reverse((Key(t, self.seq), idx)));
+            self.heap.push(Reverse((Key(t, issued, self.seq), idx)));
             self.seq += 1;
         }
 
-        /// Pop the earliest `(time, seq)` event.
+        /// Pop the earliest `(time, issued, seq)` event.
         pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            let Reverse((Key(t, _), idx)) = self.heap.pop()?;
+            let Reverse((Key(t, _, _), idx)) = self.heap.pop()?;
             self.now = t;
             let ev = self.slots[idx]
                 .take()
@@ -571,79 +606,111 @@ mod tests {
         assert_eq!(q.pop_batch(&mut batch), None);
     }
 
-    /// Satellite: multi-switch interleavings. Two queues (two "switches")
-    /// are driven in lockstep — advance to the global minimum `peek_time`,
-    /// drain that timestamp from whichever queues hold it, and merge the
-    /// batches by a global push tag. Events may spawn "link events" on the
-    /// *other* queue, strictly later (positive link latency). The merged
-    /// drain must reproduce, bit for bit, the `(time, tag)` pop sequence
-    /// of a single `BinaryHeap` oracle that saw every push — i.e. the
-    /// fabric driving loop's split queues preserve global `(time, seq)`
-    /// order.
+    /// Multi-switch interleavings: three queues ("switches") whose events
+    /// spawn local follow-ups and "link events" on another queue at least
+    /// `L` later. Driven in lookahead windows — every queue runs to
+    /// `T + L - 1` for the global minimum `T`, then the link events are
+    /// pushed with `push_issued` at their sender's event time — each queue
+    /// must fire exactly the `(time, tag)` sequence it fires when the
+    /// queues are stepped one global timestamp at a time and link events
+    /// are pushed as they are sent. Times are coarse so ties are common,
+    /// and every spawn is a pure function of the parent tag, so the two
+    /// drives see the same events whatever their processing order.
     #[test]
-    fn merged_queues_preserve_global_order_through_link_events() {
+    fn windowed_queues_match_lockstep_order() {
+        const Q: usize = 3;
+        const L: u64 = 3_000;
+        /// What an event spawns: a local follow-up and/or a link event
+        /// `(dest, delay)`, derived from the tag alone.
+        fn spawns(tag: u64, q: usize) -> (Option<u64>, Option<(usize, u64)>) {
+            if tag >> 56 >= 4 {
+                return (None, None);
+            }
+            let h = (tag ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let local = (h & 3 == 0).then_some(((h >> 2) % 5) * 1_000);
+            let link = (h >> 8 & 1 == 0).then_some((
+                (q + 1 + (h >> 9) as usize % (Q - 1)) % Q,
+                L + ((h >> 12) % 4) * 1_000,
+            ));
+            (local, link)
+        }
+        fn child(tag: u64, kind: u64) -> u64 {
+            let depth = (tag >> 56) + 1;
+            (depth << 56) | ((tag & ((1 << 56) - 1)).wrapping_mul(3) + kind) & ((1 << 56) - 1)
+        }
         for seed in [2u64, 13, 77, 123, 2026] {
             let mut rng = SimRng::seed_from(seed);
-            let mut qa: EventQueue<u64> = EventQueue::new();
-            let mut qb: EventQueue<u64> = EventQueue::new();
-            let mut ora: oracle::HeapQueue<u64> = oracle::HeapQueue::new();
-            let mut tag = 0u64;
-            // Initial "injections" land on one of the two switches; the
-            // oracle sees every push, in the same global order.
-            for _ in 0..200 {
-                let t = SimTime(rng.range(0..50u64) * 10_000);
-                if rng.chance(0.5) {
-                    qa.push(t, tag);
-                } else {
-                    qb.push(t, tag);
+            let initial: Vec<(usize, SimTime, u64)> = (0..300u64)
+                .map(|tag| {
+                    let q = rng.range(0..Q as u64) as usize;
+                    (q, SimTime(rng.range(0..40u64) * 1_000), tag)
+                })
+                .collect();
+            let new_queues = || {
+                let mut qs: Vec<EventQueue<u64>> = (0..Q).map(|_| EventQueue::new()).collect();
+                for &(q, t, tag) in &initial {
+                    qs[q].push(t, tag);
                 }
-                ora.push(t, tag);
-                tag += 1;
-            }
-            let mut batch_a = Vec::new();
-            let mut batch_b = Vec::new();
-            let mut recorded = Vec::new();
-            loop {
-                let t = match (qa.peek_time(), qb.peek_time()) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => break,
-                };
-                batch_a.clear();
-                batch_b.clear();
-                if qa.peek_time() == Some(t) {
-                    assert_eq!(qa.pop_batch(&mut batch_a), Some(t));
-                }
-                if qb.peek_time() == Some(t) {
-                    assert_eq!(qb.pop_batch(&mut batch_b), Some(t));
-                }
-                // Each queue's batch is FIFO by its own seq; restricted to
-                // one queue that is ascending global-tag order, so a sorted
-                // merge by tag reproduces the single-queue interleaving.
-                let mut merged: Vec<u64> = batch_a.iter().chain(batch_b.iter()).copied().collect();
-                merged.sort_unstable();
-                for ev in merged {
-                    recorded.push((t, ev));
-                    // Some events cross the link to the other switch,
-                    // strictly later — the positive-latency hand-off.
-                    if tag < 1_200 && rng.chance(0.3) {
-                        let arrive = SimTime(t.0 + rng.range(1..5_000u64));
-                        if batch_a.contains(&ev) {
-                            qb.push(arrive, tag);
-                        } else {
-                            qa.push(arrive, tag);
+                qs
+            };
+            // Run one queue's events up to `until`, recording them and
+            // collecting link events as (sent, src, arrive, dest, tag).
+            let step =
+                |qs: &mut Vec<EventQueue<u64>>,
+                 q: usize,
+                 until: SimTime,
+                 rec: &mut Vec<Vec<(SimTime, u64)>>,
+                 out: &mut Vec<(SimTime, usize, SimTime, usize, u64)>| {
+                    let mut batch = Vec::new();
+                    while qs[q].peek_time().is_some_and(|t| t <= until) {
+                        let t = qs[q].pop_batch(&mut batch).unwrap();
+                        for tag in batch.drain(..) {
+                            rec[q].push((t, tag));
+                            let (local, link) = spawns(tag, q);
+                            if let Some(d) = local {
+                                qs[q].push(SimTime(t.0 + d), child(tag, 1));
+                            }
+                            if let Some((dest, d)) = link {
+                                out.push((t, q, SimTime(t.0 + d), dest, child(tag, 2)));
+                            }
                         }
-                        ora.push(arrive, tag);
-                        tag += 1;
                     }
+                };
+            let min_peek =
+                |qs: &Vec<EventQueue<u64>>| qs.iter().filter_map(|q| q.peek_time()).min();
+
+            let mut lock = new_queues();
+            let mut lock_rec = vec![Vec::new(); Q];
+            let mut out = Vec::new();
+            while let Some(t) = min_peek(&lock) {
+                for q in 0..Q {
+                    step(&mut lock, q, t, &mut lock_rec, &mut out);
+                }
+                for (_, _, arrive, dest, tag) in out.drain(..) {
+                    lock[dest].push(arrive, tag);
                 }
             }
-            let mut expect = Vec::new();
-            while let Some((t, ev)) = ora.pop() {
-                expect.push((t, ev));
+
+            let mut win = new_queues();
+            let mut win_rec = vec![Vec::new(); Q];
+            let mut windows = 0;
+            while let Some(t) = min_peek(&win) {
+                windows += 1;
+                for q in 0..Q {
+                    step(&mut win, q, SimTime(t.0 + L - 1), &mut win_rec, &mut out);
+                }
+                out.sort_by_key(|&(sent, src, ..)| (sent, src));
+                for (sent, _, arrive, dest, tag) in out.drain(..) {
+                    assert!(arrive.0 >= t.0 + L, "link event inside the window");
+                    win[dest].push_issued(arrive, sent, tag);
+                }
             }
-            assert_eq!(recorded, expect, "seed {seed}: merged order diverged");
+            assert_eq!(win_rec, lock_rec, "seed {seed}: windowed order diverged");
+            let events: usize = lock_rec.iter().map(Vec::len).sum();
+            assert!(
+                events > 600 && windows < events,
+                "seed {seed}: {events} events, {windows} windows"
+            );
         }
     }
 
@@ -672,8 +739,15 @@ mod tests {
                         // far-future outlier, well past the ring window
                         _ => SimTime(base + (DAYS << DAY_SHIFT) * rng.range(1..5u64) + 13),
                     };
-                    cal.push(t, id);
-                    ora.push(t, id);
+                    if rng.chance(0.2) {
+                        // Issued in the past (a fabric's cross-device push).
+                        let issued = SimTime(rng.range(0..base + 1));
+                        cal.push_issued(t, issued, id);
+                        ora.push_issued(t, issued, id);
+                    } else {
+                        cal.push(t, id);
+                        ora.push(t, id);
+                    }
                     id += 1;
                 }
                 // ...then a few interleaved pops.

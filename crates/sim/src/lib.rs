@@ -61,7 +61,9 @@ pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
 pub use int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, INT_MAX_HOPS};
 pub use link::Link;
-pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry, ScopeId, SeriesId, TimeSeries};
+pub use metrics::{
+    CounterId, Fold, GaugeId, HistId, MetricsRegistry, MetricsView, ScopeId, SeriesId, TimeSeries,
+};
 pub use packet::{
     synthetic_packet, CoflowId, EgressSpec, FlowId, Packet, PacketMeta, PortId, MIN_WIRE_BYTES,
 };

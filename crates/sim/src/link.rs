@@ -6,10 +6,11 @@
 //! switch's TX port serializes the frame into the switch edge, and the link
 //! then re-serializes it onto the wire (back-to-back frames queue behind
 //! `busy_until`, exactly like [`crate::port::TxPort`]) before the
-//! propagation delay. Latency must be strictly positive — that is what
-//! makes a lockstep fabric driving loop causal: every frame handed to a
-//! peer switch arrives strictly after the time the fabric has already
-//! simulated up to.
+//! propagation delay. Latency must be strictly positive — it is the
+//! lookahead a fabric driving loop relies on: a frame whose last bit leaves
+//! its switch at or after `t` reaches the peer no earlier than
+//! `t + latency`, so every switch may simulate up to just before that
+//! instant before link traffic is exchanged.
 
 use crate::packet::Packet;
 use crate::port::LinkSpeed;
@@ -33,7 +34,7 @@ impl Link {
     ///
     /// Panics if `latency` is zero: a zero-latency link would let a frame
     /// arrive at the peer at the very timestamp the fabric loop is
-    /// draining, breaking the strictly-causal hand-off argument.
+    /// draining, leaving the driving loop no lookahead.
     pub fn new(speed: LinkSpeed, latency: Duration) -> Self {
         assert!(
             latency.as_ps() > 0,

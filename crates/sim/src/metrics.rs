@@ -27,6 +27,12 @@
 //! a stable shape (validated against `schemas/metrics.schema.json` in CI),
 //! embedded in every `--json` AppReport and dumped by the `adcp-trace`
 //! binary.
+//!
+//! Counts a switch already keeps elsewhere (its drop/flow counter struct,
+//! per-pipe busy cycles, migration totals) are not copied into the
+//! registry. They stay the single source of truth, and
+//! [`MetricsRegistry::fold`] applies them only when the registry is read,
+//! as a [`MetricsView`].
 
 use crate::stats::LatencyHist;
 use crate::time::{Duration, SimTime};
@@ -300,15 +306,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Overwrite a counter's value (used when mirroring a counter that is
-    /// maintained elsewhere into the registry at quiescence).
-    #[inline]
-    pub fn set_counter(&mut self, id: CounterId, v: u64) {
-        if self.enabled {
-            self.counters[id.0].value = v;
-        }
-    }
-
     /// Set a gauge's instantaneous value (high-water mark kept).
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: u64) {
@@ -355,11 +352,33 @@ impl MetricsRegistry {
     /// Look up a counter's current value by scope and name (slow path, for
     /// tests and cross-target conformance checks).
     pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
-        let si = self.scopes.iter().position(|s| s == scope)?;
-        self.counters
-            .iter()
-            .find(|c| c.scope == si && c.name == name)
-            .map(|c| c.value)
+        self.fold([]).counter_value(scope, name)
+    }
+
+    /// A read-only view of the registry with `folds` applied: each folded
+    /// counter reads as the given total, and each folded gauge reads as the
+    /// given value with its high-water mark raised to it. A disabled
+    /// registry ignores the folds, as it ignores every record call.
+    pub fn fold(&self, folds: impl IntoIterator<Item = Fold>) -> MetricsView<'_> {
+        let mut counters: Vec<u64> = self.counters.iter().map(|c| c.value).collect();
+        let mut gauges: Vec<Gauge> = self.gauges.iter().map(|g| g.value.clone()).collect();
+        if self.enabled {
+            for f in folds {
+                match f {
+                    Fold::Counter(id, v) => counters[id.0] = v,
+                    Fold::Gauge(id, v) => {
+                        let g = &mut gauges[id.0];
+                        g.value = v;
+                        g.hwm = g.hwm.max(v);
+                    }
+                }
+            }
+        }
+        MetricsView {
+            reg: self,
+            counters,
+            gauges,
+        }
     }
 
     /// Total `(t, v)` points currently retained across every registered
@@ -380,6 +399,65 @@ impl MetricsRegistry {
             .iter()
             .find(|h| h.scope == si && h.name == name)
             .map(|h| &h.value)
+    }
+
+    /// Export the registry as one JSON object (no folds; see
+    /// [`MetricsView::to_json`] for the shape).
+    pub fn to_json(&self) -> Value {
+        self.fold([]).to_json()
+    }
+}
+
+/// A value kept outside the registry, applied by [`MetricsRegistry::fold`]
+/// when the registry is read.
+#[derive(Debug, Clone, Copy)]
+pub enum Fold {
+    /// A counter's current total.
+    Counter(CounterId, u64),
+    /// A gauge's current value.
+    Gauge(GaugeId, u64),
+}
+
+impl Fold {
+    /// Aggregate per-pipe busy cycles into one region's `(total, busiest
+    /// pipe)` pair (per-pipe cardinality would bloat every report on
+    /// 64-port targets).
+    pub fn busy(ids: (CounterId, GaugeId), cycles: impl Iterator<Item = u64>) -> [Fold; 2] {
+        let (total, max) = cycles.fold((0, 0), |(t, m), c| (t + c, m.max(c)));
+        [Fold::Counter(ids.0, total), Fold::Gauge(ids.1, max)]
+    }
+}
+
+/// The registry as read: recorded histograms and series plus counter and
+/// gauge values with the owner's folds applied (see
+/// [`MetricsRegistry::fold`]).
+#[derive(Debug)]
+pub struct MetricsView<'a> {
+    reg: &'a MetricsRegistry,
+    counters: Vec<u64>,
+    gauges: Vec<Gauge>,
+}
+
+impl<'a> MetricsView<'a> {
+    /// Is collection on?
+    pub fn enabled(&self) -> bool {
+        self.reg.enabled
+    }
+
+    /// Look up a counter's value by scope and name (slow path, for tests
+    /// and cross-target conformance checks).
+    pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
+        let si = self.reg.scopes.iter().position(|s| s == scope)?;
+        self.reg
+            .counters
+            .iter()
+            .position(|c| c.scope == si && c.name == name)
+            .map(|i| self.counters[i])
+    }
+
+    /// Shared access to a histogram by scope and name (slow path).
+    pub fn hist_ref(&self, scope: &str, name: &str) -> Option<&'a LatencyHist> {
+        self.reg.hist_ref(scope, name)
     }
 
     /// Export the registry as one JSON object:
@@ -405,25 +483,30 @@ impl MetricsRegistry {
     /// Scope and metric order is registration order (deterministic), so the
     /// encoded JSON is byte-stable for a given simulation.
     pub fn to_json(&self) -> Value {
+        let reg = self.reg;
         let mut scopes = Map::new();
-        for (si, sname) in self.scopes.iter().enumerate() {
+        for (si, sname) in reg.scopes.iter().enumerate() {
             let mut counters = Map::new();
-            for c in self.counters.iter().filter(|c| c.scope == si) {
-                counters.insert(c.name.clone(), Value::U64(c.value));
+            for (c, v) in reg.counters.iter().zip(&self.counters) {
+                if c.scope == si {
+                    counters.insert(c.name.clone(), Value::U64(*v));
+                }
             }
             let mut gauges = Map::new();
-            for g in self.gauges.iter().filter(|g| g.scope == si) {
-                let mut o = Map::new();
-                o.insert("value".into(), Value::U64(g.value.value));
-                o.insert("hwm".into(), Value::U64(g.value.hwm));
-                gauges.insert(g.name.clone(), Value::Object(o));
+            for (g, v) in reg.gauges.iter().zip(&self.gauges) {
+                if g.scope == si {
+                    let mut o = Map::new();
+                    o.insert("value".into(), Value::U64(v.value));
+                    o.insert("hwm".into(), Value::U64(v.hwm));
+                    gauges.insert(g.name.clone(), Value::Object(o));
+                }
             }
             let mut hists = Map::new();
-            for h in self.hists.iter().filter(|h| h.scope == si) {
+            for h in reg.hists.iter().filter(|h| h.scope == si) {
                 hists.insert(h.name.clone(), hist_json(&h.value));
             }
             let mut series = Map::new();
-            for s in self.series.iter().filter(|s| s.scope == si) {
+            for s in reg.series.iter().filter(|s| s.scope == si) {
                 let mut o = Map::new();
                 o.insert("offered".into(), Value::U64(s.value.offered()));
                 o.insert("stride".into(), Value::U64(s.value.stride()));
@@ -447,7 +530,7 @@ impl MetricsRegistry {
             scopes.insert(sname.clone(), Value::Object(scope));
         }
         let mut root = Map::new();
-        root.insert("enabled".into(), Value::Bool(self.enabled));
+        root.insert("enabled".into(), Value::Bool(reg.enabled));
         root.insert("scopes".into(), Value::Object(scopes));
         Value::Object(root)
     }
@@ -522,6 +605,61 @@ mod tests {
             .expect("gauge exported");
         assert_eq!(gj.get("value").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(gj.get("hwm").and_then(|v| v.as_u64()), Some(10));
+    }
+
+    #[test]
+    fn folds_apply_at_read_time_only() {
+        let mut m = MetricsRegistry::new_enabled();
+        let s = m.scope("tm");
+        let c = m.counter(s, "drops");
+        let g = m.gauge(s, "cells");
+        m.set_gauge(g, 9);
+        let view = m.fold([Fold::Counter(c, 4), Fold::Gauge(g, 3)]);
+        assert_eq!(view.counter_value("tm", "drops"), Some(4));
+        let json = view.to_json();
+        let gj = json
+            .get("scopes")
+            .and_then(|v| v.get("tm"))
+            .and_then(|v| v.get("gauges"))
+            .and_then(|v| v.get("cells"))
+            .expect("gauge exported");
+        assert_eq!(gj.get("value").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(gj.get("hwm").and_then(|v| v.as_u64()), Some(9));
+        let view = m.fold([Fold::Gauge(g, 12)]);
+        let mut raised = String::new();
+        view.to_json().encode(&mut raised);
+        assert!(
+            raised.contains(r#""cells":{"value":12,"hwm":12}"#),
+            "{raised}"
+        );
+        // The registry itself is untouched by a fold.
+        assert_eq!(m.counter_value("tm", "drops"), Some(0));
+        // A disabled registry ignores folds like every other record call.
+        let mut off = MetricsRegistry::new_disabled();
+        let s = off.scope("tm");
+        let c = off.counter(s, "drops");
+        assert_eq!(
+            off.fold([Fold::Counter(c, 4)]).counter_value("tm", "drops"),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn busy_fold_sums_and_takes_the_busiest_pipe() {
+        let mut m = MetricsRegistry::new_enabled();
+        let s = m.scope("ingress");
+        let ids = (
+            m.counter(s, "busy_cycles"),
+            m.gauge(s, "busy_cycles_max_pipe"),
+        );
+        let view = m.fold(Fold::busy(ids, [3u64, 8, 1].into_iter()));
+        assert_eq!(view.counter_value("ingress", "busy_cycles"), Some(12));
+        let mut out = String::new();
+        view.to_json().encode(&mut out);
+        assert!(
+            out.contains(r#""busy_cycles_max_pipe":{"value":8,"hwm":8}"#),
+            "{out}"
+        );
     }
 
     #[test]

@@ -122,8 +122,10 @@ pub struct PacketMeta {
     /// whenever the frame was rewritten (deparse writeback, header grow or
     /// shrink) while buffered. `None` when the packet holds no cells.
     pub buf_cells: Option<u32>,
-    /// Time the packet was admitted to the traffic manager it currently sits
-    /// in (or last sat in). Used for TM-residency stage spans.
+    /// Rolling stage-entry mark: the time the packet entered its current
+    /// stage — admitted to a traffic manager, or dequeued into the pipeline
+    /// after it. Used for TM-residency and pipeline stage spans; an ADCP
+    /// switch sets it once more when the frame enters TX.
     pub tm_enqueued: SimTime,
     /// Queue depth (packets across the TM's queues, this one included)
     /// observed when the packet was admitted. Carried so the journey
