@@ -28,10 +28,9 @@
 //! # Determinism contract
 //!
 //! A [`SoakReport`] is a pure function of [`DaemonCfg`]: it contains sim
-//! time, event counts and SLO math — never wall-clock readings, file
-//! paths, or worker counts. `central_workers` only changes which OS
-//! threads execute central pulls, so reports must be **byte-identical**
-//! across worker counts; the soak test pins 1/2/4.
+//! time, event counts and SLO math — never wall-clock readings or file
+//! paths — so two runs of one config must be **byte-identical**; the soak
+//! tests pin same-seed repeats.
 
 use crate::menu::{self, Oracle, ServeApp, ServeProgram, SHARDS};
 use crate::slo::{SloPolicy, SloTracker};
@@ -128,8 +127,6 @@ pub struct DaemonCfg {
     pub skew_policy: SkewPolicy,
     /// Central pipes active at start.
     pub initial_pipes: u32,
-    /// Central worker threads (wall-clock only; never observable).
-    pub workers: usize,
     /// Fault schedule (non-overlapping windows; first match wins).
     pub faults: Vec<FaultWindow>,
     /// Rotating observability stream (`None` = in-memory only).
@@ -137,9 +134,7 @@ pub struct DaemonCfg {
     /// Slices between stream snapshots.
     pub stream_every: u64,
     /// Stamp INT telemetry on the datapath and stream the collector's
-    /// report per snapshot. Off by default: INT-on serializes central
-    /// execution (the stamps observe per-pull TM state), so the soak's
-    /// sharded-execution coverage keeps it opt-in.
+    /// report per snapshot. Off by default.
     pub int: bool,
 }
 
@@ -184,7 +179,6 @@ impl DaemonCfg {
                 strategy: MigrationStrategy::Incremental,
             },
             initial_pipes: 1,
-            workers: 1,
             faults: vec![
                 FaultWindow {
                     from: ms(8),
@@ -224,12 +218,6 @@ impl DaemonCfg {
             slices: 1_024,
             ..DaemonCfg::soak_quick(seed)
         }
-    }
-
-    /// Override the worker-thread count (builder style).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
     }
 }
 
@@ -304,7 +292,7 @@ pub struct SloSummary {
 }
 
 /// The deterministic end-of-run report (see the crate docs for the
-/// byte-identical-across-workers contract).
+/// byte-identical same-config contract).
 #[derive(Debug, Clone, Serialize)]
 pub struct SoakReport {
     /// Serving program name.
@@ -427,15 +415,12 @@ impl Daemon {
             CompileOptions::default(),
             AdcpConfig {
                 queue_depth: cfg.queue_depth,
-                central_workers: cfg.workers.max(1),
                 int: cfg.int,
                 ..AdcpConfig::default()
             },
         )
         .map_err(|e| format!("serving program failed to compile: {e:?}"))?;
-        // Drops-only tracing: exact forensics at zero hop-ring cost, and
-        // — critically — `hops_on() == false` keeps sharded central
-        // execution eligible, so the worker count stays unobservable.
+        // Drops-only tracing: exact forensics at zero hop-ring cost.
         sw.tracer = JourneyTracer::with_sample(0, 1);
         let pipes = cfg.initial_pipes.clamp(1, sw.num_central() as u32);
         sw.install_partition_map(PartitionMap::uniform(SHARDS as u32, pipes))
@@ -620,12 +605,6 @@ impl Daemon {
                     "skew-rebalance"
                 }
             };
-            if matches!(ev.kind, RebalanceKind::ScaleUp | RebalanceKind::ScaleDown) {
-                // Track compute capacity with the active pipe set. Worker
-                // count is wall-clock-only, so this cannot perturb the
-                // report.
-                self.sw.set_central_workers(ev.pipes as usize);
-            }
             self.trace.instant(
                 name,
                 slice.end,

@@ -21,11 +21,11 @@
 //!   graceful drain, and the zero-drift soak report.
 //!
 //! Determinism is load-bearing: a soak report is a pure function of the
-//! [`daemon::DaemonCfg`] — it contains no wall-clock times and no worker
-//! counts, so the same config must produce **byte-identical** reports at
-//! any `central_workers` setting (CI runs 1/2/4). The daemon keeps the
-//! journey tracer in drops-only mode (`JourneyTracer::with_sample(0, 1)`)
-//! so forensics stay exact without disabling sharded execution.
+//! [`daemon::DaemonCfg`] — it contains no wall-clock times, so the same
+//! config must produce **byte-identical** reports run after run. The
+//! daemon keeps the journey tracer in drops-only mode
+//! (`JourneyTracer::with_sample(0, 1)`) so forensics stay exact without
+//! the cost of a hop ring.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

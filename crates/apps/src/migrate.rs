@@ -62,10 +62,6 @@ pub struct MigrateCfg {
     pub ticks: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Central-pipeline worker threads (ADCP only; output is
-    /// byte-identical for any value — the switch serializes automatically
-    /// while a migration's fences are in flight).
-    pub central_workers: usize,
 }
 
 impl Default for MigrateCfg {
@@ -81,7 +77,6 @@ impl Default for MigrateCfg {
             strategy: Some(MigrationStrategy::Incremental),
             ticks: 8,
             seed: 31,
-            central_workers: 1,
         }
     }
 }
@@ -250,7 +245,6 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
                 AdcpConfig::default(),
             )
             .expect("partmigrate compiles on ADCP");
-            sw.set_central_workers(cfg.central_workers);
             let notes = sw.placement.notes.clone();
             let n_pipes = sw.num_central() as u32;
             sw.install_partition_map(PartitionMap::uniform(SHARDS as u32, n_pipes))

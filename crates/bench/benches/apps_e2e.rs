@@ -19,7 +19,6 @@ fn bench_apps(c: &mut Criterion) {
         },
         coordinator_port: 15,
         seed: 1,
-        central_workers: 1,
     };
     g.bench_function("dbshuffle_adcp", |b| {
         b.iter_batched(

@@ -14,7 +14,6 @@ fn bench_switches(c: &mut Criterion) {
         model_size: 256,
         width: 16,
         seed: 1,
-        central_workers: 1,
     };
     // 8 workers x 16 chunks = 128 packets per run on ADCP.
     g.throughput(Throughput::Elements(128));

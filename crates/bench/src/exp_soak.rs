@@ -2,17 +2,11 @@
 //!
 //! Runs the compressed soak choreography — diurnal + MMPP open-loop
 //! traffic through the drop/corrupt/delay fault schedule with the
-//! SLO-driven autoscaler live — across both serving applications and
-//! central worker counts 1/2/4, and distills each run's [`SoakReport`]
-//! into one row. Two properties carry the experiment:
-//!
-//! * every run must end **healthy**: forensics ≡ registry with zero
-//!   drift, serving-oracle clean, packet conservation exact,
-//!   `misroutes == 0`, and the autoscaler must have scaled up *and*
-//!   down at least once; and
-//! * within an app, the full report must be **byte-identical across
-//!   worker counts** — the wall-clock execution strategy is not allowed
-//!   to be observable.
+//! SLO-driven autoscaler live — once per serving application, and
+//! distills each run's [`SoakReport`] into one row. Every run must end
+//! **healthy**: forensics ≡ registry with zero drift, serving-oracle
+//! clean, packet conservation exact, `misroutes == 0`, and the autoscaler
+//! must have scaled up *and* down at least once.
 
 use adcpd::daemon::{Daemon, DaemonCfg, SoakReport};
 use adcpd::menu::ServeApp;
@@ -23,8 +17,6 @@ use serde::Serialize;
 pub struct SoakRow {
     /// Serving application.
     pub app: String,
-    /// Central worker threads the run executed with.
-    pub workers: usize,
     /// Simulated time served, ns.
     pub sim_ns: u64,
     /// Open-loop arrivals generated.
@@ -45,14 +37,11 @@ pub struct SoakRow {
     pub misroutes: u64,
     /// All invariants held at drain.
     pub healthy: bool,
-    /// Report bytes match the workers=1 run of the same app.
-    pub identical_across_workers: bool,
 }
 
-fn row(app: ServeApp, r: &SoakReport, workers: usize, identical: bool) -> SoakRow {
+fn row(app: ServeApp, r: &SoakReport) -> SoakRow {
     SoakRow {
         app: app.name().to_string(),
-        workers,
         sim_ns: r.sim_ns,
         arrivals: r.arrivals,
         delivered: r.delivered,
@@ -63,40 +52,26 @@ fn row(app: ServeApp, r: &SoakReport, workers: usize, identical: bool) -> SoakRo
         skew_rebalances: r.skew_rebalances,
         misroutes: r.misroutes,
         healthy: r.healthy,
-        identical_across_workers: identical,
     }
 }
 
-/// Run the E-D1 matrix: `{shardcount, shardmax} × workers {1, 2, 4}`,
-/// quick (compressed) or full (4× sim time). Interruptible at run
-/// boundaries via [`crate::shutdown`]; completed rows are still returned.
+/// Run the E-D1 matrix: `{shardcount, shardmax}`, quick (compressed) or
+/// full (4× sim time). Interruptible at run boundaries via
+/// [`crate::shutdown`]; completed rows are still returned.
 pub fn exp_soak(quick: bool, seed: u64) -> Vec<SoakRow> {
     let mut rows = Vec::new();
-    'apps: for app in [ServeApp::ShardCount, ServeApp::ShardMax] {
-        let mut baseline_json: Option<String> = None;
-        for workers in [1usize, 2, 4] {
-            if crate::shutdown::requested() {
-                break 'apps;
-            }
-            let mut cfg = if quick {
-                DaemonCfg::soak_quick(seed)
-            } else {
-                DaemonCfg::soak(seed)
-            };
-            cfg.app = app;
-            let r = Daemon::new(cfg.with_workers(workers))
-                .expect("daemon builds")
-                .run();
-            let json = r.to_json();
-            let identical = match &baseline_json {
-                None => {
-                    baseline_json = Some(json);
-                    true
-                }
-                Some(base) => *base == json,
-            };
-            rows.push(row(app, &r, workers, identical));
+    for app in [ServeApp::ShardCount, ServeApp::ShardMax] {
+        if crate::shutdown::requested() {
+            break;
         }
+        let mut cfg = if quick {
+            DaemonCfg::soak_quick(seed)
+        } else {
+            DaemonCfg::soak(seed)
+        };
+        cfg.app = app;
+        let r = Daemon::new(cfg).expect("daemon builds").run();
+        rows.push(row(app, &r));
     }
     rows
 }
@@ -106,16 +81,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_matrix_is_healthy_and_worker_invariant() {
+    fn quick_matrix_is_healthy() {
         let rows = exp_soak(true, 7);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.healthy, "{}/{} unhealthy", r.app, r.workers);
-            assert!(
-                r.identical_across_workers,
-                "{}/{} diverged",
-                r.app, r.workers
-            );
+            assert!(r.healthy, "{} unhealthy", r.app);
             assert!(
                 r.scale_ups >= 1 && r.scale_downs >= 1,
                 "{} loop never closed",

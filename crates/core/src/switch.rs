@@ -257,16 +257,6 @@ pub struct AdcpConfig {
     /// approximation. Applications that want exact merges mark unused
     /// inputs ended and terminate streams with end-of-stream records.
     pub merge_patience: Duration,
-    /// Worker threads for central-pipeline execution (§3.1: central pipes
-    /// are architecturally independent between TM1 and TM2). `1` keeps the
-    /// fully serial event loop; `>1` runs the compute-heavy part of
-    /// same-timestamp central pulls (parse + MAU region) on scoped worker
-    /// threads, with all observable effects (event pushes, counters,
-    /// metrics, drops) replayed on the coordinator in the exact serial
-    /// order — output is byte-identical for any worker count. The serial
-    /// path is used automatically while a migration is in flight or the
-    /// journey tracer is retaining hops.
-    pub central_workers: usize,
 }
 
 impl Default for AdcpConfig {
@@ -281,7 +271,6 @@ impl Default for AdcpConfig {
             device: 0,
             port_speeds: Vec::new(),
             merge_patience: Duration::from_us(2),
-            central_workers: 1,
         }
     }
 }
@@ -399,71 +388,6 @@ struct EgressPipe {
     pull_scheduled: bool,
 }
 
-/// Outcome of the serial head of a central pull (see
-/// [`AdcpSwitch::pull_central_prologue`]).
-// `Work(Packet)` lives only across one central pull; boxing it would cost
-// a heap round-trip per central event on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum CentralStage {
-    /// Nothing to do (queue empty).
-    Idle,
-    /// Re-arm the pull at this time — deferred so the sharded path can
-    /// replay every event push in serial order during the epilogue.
-    Reschedule(SimTime),
-    /// A packet dequeued and accounted, ready for parse + region compute.
-    Work(Packet),
-}
-
-/// Result of the shardable compute stage of a central pull: the parsed and
-/// region-processed PHV plus everything the serial epilogue needs to
-/// deparse, trace, and schedule.
-struct CentralRun {
-    phv: Phv,
-    extracted: Vec<adcp_lang::HeaderId>,
-    consumed: usize,
-    depth: u32,
-    entry: SimTime,
-}
-
-/// The compute-heavy middle of a central pull: parse, PHV intrinsics
-/// setup, pipeline-slot bump, and the central MAU region. Touches only the
-/// one pipe's state (plus shared read-only program/layout), so a sharded
-/// batch can run it for distinct pipes on worker threads; the serial path
-/// calls it inline with the switch's recycled scratch PHV.
-fn central_compute(
-    program: &Program,
-    layout: &adcp_lang::PhvLayout,
-    period: Duration,
-    now: SimTime,
-    pipe: &mut CentralPipe,
-    pkt: &mut Packet,
-    scratch: (Phv, Vec<adcp_lang::HeaderId>),
-) -> Result<CentralRun, ()> {
-    let (sphv, sext) = scratch;
-    let Ok(out) = program
-        .parser
-        .parse_reusing(&program.headers, layout, &pkt.data, sphv, sext)
-    else {
-        return Err(());
-    };
-    let mut phv = out.phv;
-    phv.intr.ingress_port = pkt.meta.ingress_port;
-    // Move (not clone) the forwarding decision into the PHV; writeback
-    // moves it back.
-    phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
-    let entry = now.max(pipe.next_slot);
-    pipe.next_slot = entry + period;
-    pipe.busy_cycles += 1;
-    pipe.state.run(program, layout, &mut phv);
-    Ok(CentralRun {
-        phv,
-        extracted: out.extracted,
-        consumed: out.consumed,
-        depth: out.depth,
-        entry,
-    })
-}
-
 /// A scheduled event. Pipe indices are `u32` so that the tag and index
 /// share one word ahead of the packet: the event queue moves and sorts
 /// every event by value, so its size is on the hot path.
@@ -543,10 +467,10 @@ struct MigrationState {
     /// Packets held at TM1 (with their ingress pipe) until the shard is
     /// consistent again. Released in arrival order.
     held: Vec<(usize, Packet)>,
-    /// Incremental only: the fence drained during the current central
-    /// pull's prologue — release `held` once that pull's register updates
-    /// have been applied (`finish_central`), never before. Releasing in
-    /// the prologue would let the first released packet copy-on-first-
+    /// Incremental only: the fence drained at the current central pull's
+    /// dequeue — release `held` once that pull's register updates have
+    /// been applied (later in `on_pull_central`), never before. Releasing
+    /// at the dequeue would let the first released packet copy-on-first-
     /// touch the moving cells *under* the final fence packet's pending
     /// RMW, stranding its increment on the old owner.
     release_at_exec: bool,
@@ -595,7 +519,7 @@ pub struct AdcpSwitch {
     pool1: BufferPool,
     pool2: BufferPool,
     events: EventQueue<Ev>,
-    /// Reusable same-timestamp dispatch batch for `run_until_idle`.
+    /// Reusable same-timestamp dispatch batch for the event loop.
     batch: Vec<Ev>,
     /// Recycling arena for deparse frame buffers.
     store: PacketStore,
@@ -908,21 +832,6 @@ impl AdcpSwitch {
         self.part.as_ref().is_some_and(|rt| rt.mig.is_some())
     }
 
-    /// Set the central-pipeline worker count (see
-    /// [`AdcpConfig::central_workers`]). Output is byte-identical for any
-    /// value; `>1` parallelizes the central compute stage. Safe to call at
-    /// runtime between events — the serving daemon retunes it whenever the
-    /// autoscaler grows or shrinks the active pipe set, so the execution
-    /// engine's parallelism follows the data plane's.
-    pub fn set_central_workers(&mut self, n: usize) {
-        self.cfg.central_workers = n.max(1);
-    }
-
-    /// Current central-pipeline worker count.
-    pub fn central_workers(&self) -> usize {
-        self.cfg.central_workers
-    }
-
     /// Distinct central pipes owning at least one partition bucket under
     /// the map in force — the autoscaler's "active" pipe count. Falls back
     /// to the physical pipe count when no map is installed (every pipe is
@@ -1154,74 +1063,40 @@ impl AdcpSwitch {
     /// Run until no events remain; returns quiescence time — the later of
     /// the last event and the last bit serialized out a TX port.
     pub fn run_until_idle(&mut self) -> SimTime {
-        let mut last = self.events.now();
-        // Batched dispatch: drain every event sharing the minimal timestamp
-        // in one calendar-queue operation, then dispatch from a reusable
-        // buffer. Handlers that push more work at the same timestamp get a
-        // later seq, so those land in the *next* batch — the dispatch order
-        // is identical to the one-event-at-a-time loop.
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut run: Vec<Ev> = Vec::new();
-        loop {
-            batch.clear();
-            let Some(t) = self.events.pop_batch(&mut batch) else {
-                break;
-            };
-            self.dispatch_batch(t, &mut batch, &mut run);
-            last = t;
-        }
-        self.batch = batch;
-        self.refresh_mat_counters();
-        last.max(self.last_delivery)
+        self.run_batches(SimTime::NEVER).max(self.last_delivery)
     }
 
     /// Run every event scheduled at or before `t`, then stop — the hook a
     /// control loop uses to interleave observation and reconfiguration
     /// with live traffic. Returns the time of the last handled event.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
+        self.run_batches(t)
+    }
+
+    /// The event loop behind [`AdcpSwitch::run_until`] and
+    /// [`AdcpSwitch::run_until_idle`]: handle every event at or before
+    /// `horizon` and return the time of the last one. Batched dispatch:
+    /// every event sharing the minimal timestamp is drained in one
+    /// calendar-queue operation and dispatched from a reusable buffer.
+    /// Handlers that push more work at the same timestamp get a later seq,
+    /// so those land in the *next* batch — the dispatch order is identical
+    /// to the one-event-at-a-time loop.
+    fn run_batches(&mut self, horizon: SimTime) -> SimTime {
         let mut last = self.events.now();
         let mut batch = std::mem::take(&mut self.batch);
-        let mut run: Vec<Ev> = Vec::new();
-        while self.events.peek_time().is_some_and(|pt| pt <= t) {
-            batch.clear();
-            let Some(bt) = self.events.pop_batch(&mut batch) else {
+        // Running to idle needs no peek: `pop_batch` ends the loop.
+        while horizon == SimTime::NEVER || self.events.peek_time().is_some_and(|pt| pt <= horizon) {
+            let Some(t) = self.events.pop_batch(&mut batch) else {
                 break;
             };
-            self.dispatch_batch(bt, &mut batch, &mut run);
-            last = bt;
+            for ev in batch.drain(..) {
+                self.handle(t, ev);
+            }
+            last = t;
         }
         self.batch = batch;
         self.refresh_mat_counters();
         last
-    }
-
-    /// Dispatch one same-timestamp batch. With central workers enabled,
-    /// runs of consecutive central events (`PullCentral` interleaved with
-    /// `CentralOut`, the steady-state cadence of a loaded switch) are
-    /// buffered and executed as one sharded barrier; any other event kind
-    /// flushes the buffer first so relative order is untouched. Sharding
-    /// applies only when it cannot change observable behavior: never while
-    /// a migration's fences are in flight (commit/hold release must
-    /// interleave exactly), never while the journey tracer retains
-    /// hops (its ring is a single flat insertion-ordered log), and never
-    /// while INT stamping is on (stamps and postcards must land in exact
-    /// serial order for the honesty conformance check).
-    fn dispatch_batch(&mut self, t: SimTime, batch: &mut Vec<Ev>, run: &mut Vec<Ev>) {
-        let shard = self.cfg.central_workers > 1
-            && !self.tracer.hops_on()
-            && !self.int.on()
-            && !self.migration_active();
-        for ev in batch.drain(..) {
-            if shard {
-                if matches!(ev, Ev::PullCentral { .. } | Ev::CentralOut { .. }) {
-                    run.push(ev);
-                    continue;
-                }
-                self.flush_central_run(t, run);
-            }
-            self.handle(t, ev);
-        }
-        self.flush_central_run(t, run);
     }
 
     /// Export the per-stage metrics block: [`AdcpSwitch::metrics`] as JSON
@@ -1808,7 +1683,7 @@ impl AdcpSwitch {
                         // packet — but its register updates are still
                         // pending in this event, so the actual release
                         // (and any first-touch copy it triggers) waits
-                        // for `finish_central`.
+                        // for the end of `on_pull_central`.
                         if let Some(start) = mig.pause_started.take() {
                             self.mig_stats.paused_ns += now.saturating_since(start).as_ps() / 1000;
                         }
@@ -1826,8 +1701,8 @@ impl AdcpSwitch {
     }
 
     /// Release packets held for an incremental migration whose fence
-    /// drained during the current pull's prologue. Runs from
-    /// [`AdcpSwitch::finish_central`] — after the draining packet's
+    /// drained at the current pull's dequeue. Runs from
+    /// [`AdcpSwitch::on_pull_central`] — after the draining packet's
     /// register updates have landed, before any later event can route —
     /// so first-touch copies see complete state and per-key FIFO holds.
     fn release_held_if_drained(&mut self, now: SimTime) {
@@ -1856,38 +1731,15 @@ impl AdcpSwitch {
         }
     }
 
+    /// One central pull: dequeue the TM1 head, account the partition
+    /// fence, parse and run the central MAU region, then deparse and hand
+    /// the packet to TM2.
     fn on_pull_central(&mut self, now: SimTime, cpipe: usize) {
-        match self.pull_central_prologue(now, cpipe) {
-            CentralStage::Idle => {}
-            CentralStage::Reschedule(at) => self.schedule_pull_central(at, cpipe),
-            CentralStage::Work(mut pkt) => {
-                let scratch = self
-                    .scratch
-                    .take()
-                    .unwrap_or_else(|| (Phv::empty(), Vec::new()));
-                let res = central_compute(
-                    &self.program,
-                    &self.layout,
-                    self.period,
-                    now,
-                    &mut self.central[cpipe],
-                    &mut pkt,
-                    scratch,
-                );
-                self.finish_central(now, cpipe, pkt, res);
-            }
-        }
-    }
-
-    /// Serial head of a central pull: everything up to (and including) the
-    /// TM1 dequeue, pool release, fence accounting, and TM1-residency
-    /// observability. Never pushes events — deferred scheduling comes back
-    /// as [`CentralStage::Reschedule`] so a sharded batch can replay all
-    /// pushes in exact serial order during the epilogue.
-    fn pull_central_prologue(&mut self, now: SimTime, cpipe: usize) -> CentralStage {
         self.central[cpipe].pull_scheduled = false;
         if now < self.central[cpipe].next_slot {
-            return CentralStage::Reschedule(self.central[cpipe].next_slot);
+            let at = self.central[cpipe].next_slot;
+            self.schedule_pull_central(at, cpipe);
+            return;
         }
         // Exact-merge gating (§3.1): under MergeOrder, wait (bounded) for
         // every un-ended input queue to have a head before departing the
@@ -1899,14 +1751,15 @@ impl AdcpSwitch {
         {
             let since = *self.central[cpipe].merge_wait_since.get_or_insert(now);
             if now.saturating_since(since) < self.cfg.merge_patience {
-                return CentralStage::Reschedule(now + self.period);
+                self.schedule_pull_central(now + self.period, cpipe);
+                return;
             }
             // Patience exhausted: fall through to the streaming
             // approximation so the switch can never deadlock.
         }
         self.central[cpipe].merge_wait_since = None;
         let Some((_, mut pkt)) = self.central[cpipe].queues.dequeue() else {
-            return CentralStage::Idle;
+            return;
         };
         self.pool1.release(&mut pkt);
         // Fence/epoch accounting must happen exactly when the old owner
@@ -1936,57 +1789,39 @@ impl AdcpSwitch {
             self.int_stamp(&mut pkt, Site::Tm1, enq, now, ctx);
         }
         pkt.meta.tm_enqueued = now; // central-stage entry, for its span
-        CentralStage::Work(pkt)
-    }
-
-    /// Serial tail of a central pull: observability, writeback into the
-    /// arena, the CentralOut push, and the next pull. Runs on the
-    /// coordinator thread in event order whether the compute stage ran
-    /// inline or on a worker.
-    fn finish_central(
-        &mut self,
-        now: SimTime,
-        cpipe: usize,
-        pkt: Packet,
-        res: Result<CentralRun, ()>,
-    ) {
-        // The pull's register updates (if any) are in: safe to release
-        // packets held behind the in-flight fence this pull drained.
-        self.release_held_if_drained(now);
-        let run = match res {
-            Ok(run) => run,
-            Err(()) => {
-                self.counters.parse_errors += 1;
-                self.drop_packet(
-                    now,
-                    pkt.meta.id,
-                    Site::CentralPipe(cpipe),
-                    DropReason::ParseError,
-                    HopCtx::NONE,
-                );
-                return;
-            }
+        let Some((mut phv, extracted, consumed, _)) =
+            self.parse(now, &pkt, Site::CentralPipe(cpipe))
+        else {
+            // No register update to wait for.
+            self.release_held_if_drained(now);
+            return;
         };
-        if self.metrics.enabled() {
-            self.metrics.record(
-                self.mh.parse_span,
-                Duration(run.depth as u64 * self.period.as_ps()),
-            );
-        }
+        phv.intr.ingress_port = pkt.meta.ingress_port;
+        // Move (not clone) the forwarding decision into the PHV; writeback
+        // moves it back.
+        phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+        let pipe = &mut self.central[cpipe];
+        let entry = now.max(pipe.next_slot);
+        pipe.next_slot = entry + self.period;
+        pipe.busy_cycles += 1;
+        pipe.state.run(&self.program, &self.layout, &mut phv);
+        // The pull's register updates are in: safe to release packets held
+        // behind the in-flight fence this pull drained.
+        self.release_held_if_drained(now);
         self.counters.deparse_allocs += 1;
         let epoch = pkt.meta.map_epoch;
-        let mut pkt = self.writeback(pkt, run.phv, run.extracted, run.consumed);
+        let mut pkt = self.writeback(pkt, phv, extracted, consumed);
         let stages = self.placement.central.depth().max(1) as u64;
-        let exit = run.entry + Duration(stages * self.period.as_ps());
+        let exit = entry + Duration(stages * self.period.as_ps());
         let ctx = HopCtx {
             epoch,
             ..HopCtx::NONE
         };
         if self.tracer.hops_on() {
             self.tracer
-                .record_hop(pkt.meta.id, Site::CentralPipe(cpipe), run.entry, exit, ctx);
+                .record_hop(pkt.meta.id, Site::CentralPipe(cpipe), entry, exit, ctx);
         }
-        self.int_stamp(&mut pkt, Site::CentralPipe(cpipe), run.entry, exit, ctx);
+        self.int_stamp(&mut pkt, Site::CentralPipe(cpipe), entry, exit, ctx);
         self.events.push(
             exit,
             Ev::CentralOut {
@@ -1998,119 +1833,6 @@ impl AdcpSwitch {
             let next = self.central[cpipe].next_slot;
             self.schedule_pull_central(next, cpipe);
         }
-    }
-
-    /// Sharded execution of a buffered run of same-timestamp central
-    /// events — `PullCentral` pulls interleaved with `CentralOut` exits
-    /// (§3.1: central pipes are independent between TM1 and TM2). Three
-    /// stages. (1) Serial prologues for every pull, in pull order: the
-    /// prologue touches only TM1-side state (central input queues, pool1,
-    /// fence accounting, TM1 metrics) and never pushes events, while the
-    /// `CentralOut` handler touches only TM2-side state (egress queues,
-    /// pool2, delivery counters) — disjoint, so hoisting the prologues
-    /// above intervening exits is unobservable. (2) Parallel parse +
-    /// MAU-region compute partitioned by pipe; each worker owns disjoint
-    /// [`CentralPipe`] state. (3) Serial replay of the run in its original
-    /// event order — `CentralOut` events through the ordinary handler,
-    /// pull epilogues in place of their pulls — so every event push,
-    /// counter, metric, and drop lands in the exact sequence the serial
-    /// loop would have produced. `(time, seq)` assignment, and therefore
-    /// the entire simulation, is byte-identical for any worker count.
-    fn central_run_sharded(&mut self, now: SimTime, run: &mut Vec<Ev>) {
-        let mut staged: Vec<Option<(usize, CentralStage)>> = run.iter().map(|_| None).collect();
-        for (i, ev) in run.iter().enumerate() {
-            if let Ev::PullCentral { cpipe } = *ev {
-                let cpipe = cpipe as usize;
-                staged[i] = Some((cpipe, self.pull_central_prologue(now, cpipe)));
-            }
-        }
-        let workers = self.cfg.central_workers.max(1);
-        let program = &self.program;
-        let layout = &self.layout;
-        let period = self.period;
-        // Disjoint &mut access: each pipe appears at most once per run
-        // (`pull_scheduled` guarantees one outstanding pull per pipe).
-        let mut pipe_refs: Vec<Option<&mut CentralPipe>> =
-            self.central.iter_mut().map(Some).collect();
-        let mut buckets: Vec<Vec<(usize, &mut CentralPipe, Packet)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, slot) in staged.iter_mut().enumerate() {
-            let Some((cpipe, st)) = slot else { continue };
-            if matches!(st, CentralStage::Work(_)) {
-                let CentralStage::Work(pkt) = std::mem::replace(st, CentralStage::Idle) else {
-                    unreachable!()
-                };
-                let pr = pipe_refs[*cpipe]
-                    .take()
-                    .expect("one outstanding pull per central pipe");
-                buckets[*cpipe % workers].push((i, pr, pkt));
-            }
-        }
-        let mut done: Vec<Option<(Packet, Result<CentralRun, ()>)>> =
-            run.iter().map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .map(|bucket| {
-                    s.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(i, pipe, mut pkt)| {
-                                let res = central_compute(
-                                    program,
-                                    layout,
-                                    period,
-                                    now,
-                                    pipe,
-                                    &mut pkt,
-                                    (Phv::empty(), Vec::new()),
-                                );
-                                (i, pkt, res)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, pkt, res) in h.join().expect("central worker panicked") {
-                    done[i] = Some((pkt, res));
-                }
-            }
-        });
-        for (i, ev) in run.drain(..).enumerate() {
-            match ev {
-                Ev::PullCentral { .. } => match staged[i].take() {
-                    Some((cpipe, CentralStage::Reschedule(at))) => {
-                        self.schedule_pull_central(at, cpipe)
-                    }
-                    Some((cpipe, CentralStage::Idle)) => {
-                        if let Some((pkt, res)) = done[i].take() {
-                            self.finish_central(now, cpipe, pkt, res);
-                        }
-                    }
-                    _ => unreachable!("pull staged exactly once"),
-                },
-                other => self.handle(now, other),
-            }
-        }
-    }
-
-    /// Drain the buffered central run: fewer than two pulls means there is
-    /// nothing to overlap, so every event goes through the ordinary serial
-    /// handler; otherwise the run executes as one sharded barrier.
-    fn flush_central_run(&mut self, now: SimTime, run: &mut Vec<Ev>) {
-        let n_pulls = run
-            .iter()
-            .filter(|e| matches!(e, Ev::PullCentral { .. }))
-            .count();
-        if n_pulls < 2 {
-            for ev in run.drain(..) {
-                self.handle(now, ev);
-            }
-            return;
-        }
-        self.central_run_sharded(now, run);
     }
 
     /// TM2: classic scheduler; any egress port reachable, multicast native.

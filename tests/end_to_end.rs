@@ -2,7 +2,7 @@
 //! stress and faults, and closed-loop behaviour.
 
 use adcp::apps::driver::TargetKind;
-use adcp::apps::{dbshuffle, graphmine, groupcomm, kvcache, paramserv};
+use adcp::apps::{dbshuffle, ddos, flowlet, graphmine, groupcomm, kvcache, migrate, paramserv};
 use adcp::core::{AdcpConfig, AdcpSwitch};
 use adcp::lang::{
     ActionDef, ActionOp, CompileOptions, FieldDef, HeaderDef, Operand, ParserSpec, ProgramBuilder,
@@ -27,7 +27,6 @@ fn all_apps_all_variants_correct() {
         model_size: 64,
         width: 8,
         seed: 1,
-        central_workers: 1,
     };
     for k in kinds {
         assert!(paramserv::run(k, &ps).correct, "paramserv {k:?}");
@@ -70,6 +69,32 @@ fn whole_stack_determinism() {
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.drops, b.drops);
     }
+    // The central-state-heavy ADCP apps, compared through their whole
+    // outcome (report, metrics export, app counters, migration stats):
+    // flowlet-ldf's shared per-uplink load registers, ddos with its
+    // mid-attack reshard, and partmigrate's controller-driven migrations
+    // under synchronized bursts.
+    let twice = |f: &dyn Fn() -> String, what: &str| assert_eq!(f(), f(), "{what} diverged");
+    let fl = flowlet::LdfCfg::default();
+    twice(
+        &|| format!("{:?}", flowlet::run(TargetKind::Adcp, &fl)),
+        "flowlet-ldf",
+    );
+    let dd = ddos::DdosCfg::default();
+    twice(
+        &|| format!("{:?}", ddos::run(TargetKind::Adcp, &dd)),
+        "ddos",
+    );
+    let pm = migrate::MigrateCfg {
+        packets: 2_000,
+        gap_ns: 10,
+        burst: 4,
+        ..Default::default()
+    };
+    twice(
+        &|| format!("{:?}", migrate::run(TargetKind::Adcp, &pm)),
+        "partmigrate",
+    );
 }
 
 /// End-host-side fault injection: lossy links drop contributions; the
@@ -84,7 +109,6 @@ fn paramserv_tolerates_lossy_links() {
         model_size: 256,
         width: 16,
         seed: 33,
-        central_workers: 1,
     };
     let worker_ports: Vec<PortId> = (0..cfg.workers as u16).map(PortId).collect();
     let target = TargetModel::adcp_reference();

@@ -10,6 +10,14 @@
 //! skips a value, and a misrouted packet double-counts on the wrong pipe —
 //! any of which breaks the multiset. Faulted packets (link-dropped or
 //! corrupted) must contribute nothing.
+//!
+//! One input adds a same-key burst straddling the reconfiguration: the
+//! burst's head is still queued at TM1 when the migration begins (so the
+//! incremental fence is in flight) and its tail arrives to be held behind
+//! that fence. The held packets must be released only after the last fence
+//! packet's update has landed; released any earlier, the first one copies
+//! the cell to its new owner underneath that update, stranding it on the
+//! old pipe.
 
 use adcp::core::{AdcpConfig, AdcpSwitch, MigrationStrategy, PartitionMap};
 use adcp::lang::{
@@ -25,6 +33,10 @@ use adcp::sim::time::SimTime;
 const CELLS: u64 = 64;
 const PACKETS: u64 = 250;
 const GAP_NS: u64 = 5_000;
+/// Burst packets queued at TM1 when the migration begins.
+const BURST_HEAD: u64 = 32;
+/// Burst packets that arrive while the fence is in flight.
+const BURST_TAIL: u64 = 8;
 
 /// header: dst:16, key:16, idx:16, cnt:32. Ingress folds `key & 63` into
 /// `idx` and partitions on it; central counts into cell `idx`, fetching
@@ -106,7 +118,7 @@ fn rotated(map: &PartitionMap, n_pipes: u32) -> PartitionMap {
     )
 }
 
-fn soak(seed: u64, strategy: MigrationStrategy) {
+fn soak(seed: u64, strategy: MigrationStrategy, burst: bool) {
     let (prog, reg) = counting_program();
     let mut sw = AdcpSwitch::new(
         prog,
@@ -148,9 +160,25 @@ fn soak(seed: u64, strategy: MigrationStrategy) {
         injected += 1;
         sw.inject(PortId((i % 8) as u16), pkt, at);
     }
+    let mid_ns = PACKETS * GAP_NS / 2;
+    if burst {
+        // Fault-free, one key, spread over all ports so it reaches TM1 in
+        // a clump: the head lands just before `mid`, the tail just after.
+        let key = rng.range(0u64..256) as u16;
+        for j in 0..BURST_HEAD + BURST_TAIL {
+            let at = if j < BURST_HEAD {
+                SimTime::from_ns(mid_ns - 50)
+            } else {
+                SimTime::from_ns(mid_ns + 1)
+            };
+            expected[(key as u64 % CELLS) as usize] += 1;
+            injected += 1;
+            sw.inject(PortId((j % 8) as u16), mk_pkt(PACKETS + j, key), at);
+        }
+    }
 
     // Reconfigure mid-workload, under whatever faults are in flight.
-    sw.run_until(SimTime::from_ns(PACKETS * GAP_NS / 2));
+    sw.run_until(SimTime::from_ns(mid_ns));
     sw.begin_migration(next.clone(), strategy).unwrap();
     sw.run_until_idle();
     if sw.migration_active() {
@@ -161,6 +189,12 @@ fn soak(seed: u64, strategy: MigrationStrategy) {
     let stats = sw.migration_stats();
     assert_eq!(stats.migrations, 1, "seed {seed} {strategy:?}");
     assert_eq!(stats.misroutes, 0, "seed {seed} {strategy:?}");
+    if burst {
+        assert!(
+            stats.held_pkts >= BURST_TAIL,
+            "seed {seed} {strategy:?}: the burst's tail was not held behind the fence"
+        );
+    }
     assert_eq!(sw.counters.fcs_drops, corrupted, "seed {seed} {strategy:?}");
     assert_eq!(
         sw.counters.delivered,
@@ -210,13 +244,16 @@ fn soak(seed: u64, strategy: MigrationStrategy) {
 #[test]
 fn no_update_lost_or_doubled_under_faulted_drain_migration() {
     for seed in 0..6u64 {
-        soak(0xD12A_1000 + seed, MigrationStrategy::Drain);
+        soak(0xD12A_1000 + seed, MigrationStrategy::Drain, false);
     }
 }
 
 #[test]
 fn no_update_lost_or_doubled_under_faulted_incremental_migration() {
     for seed in 0..6u64 {
-        soak(0x14C2_2000 + seed, MigrationStrategy::Incremental);
+        soak(0x14C2_2000 + seed, MigrationStrategy::Incremental, false);
+    }
+    for seed in 0..6u64 {
+        soak(0x14C2_3000 + seed, MigrationStrategy::Incremental, true);
     }
 }
